@@ -20,7 +20,6 @@ sim::ExplorerConfig explorer_config(const CheckRequest& request) {
   sim::ExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
-  config.node_repr = request.node_repr;
   config.symmetry_classes = request.system.symmetry_classes;
   config.obs = request.obs;
   config.sentinel_interval_ms = request.sentinel_interval_ms;
@@ -129,9 +128,9 @@ CheckReport run_replay(const CheckRequest& request) {
 }
 
 CheckReport run_auto(const CheckRequest& request) {
-  // Checkpointing and resume live in the parallel engine's compact
-  // representation only — route straight there, skipping the probe (a probe
-  // would waste the budget of exactly the long runs checkpoints exist for).
+  // Checkpointing and resume live in the parallel engine only — route
+  // straight there, skipping the probe (a probe would waste the budget of
+  // exactly the long runs checkpoints exist for).
   if (!request.checkpoint_path.empty() || request.resume != nullptr) {
     return run_parallel(request);
   }

@@ -90,10 +90,6 @@ struct CheckRequest {
   // this many states stay sequential; larger ones go to the parallel engine.
   std::uint64_t auto_probe_limit = 200'000;
 
-  // Exhaustive strategies: node representation override (kAuto picks the
-  // compact interned store whenever every program supports decode()).
-  sim::NodeRepr node_repr = sim::NodeRepr::kAuto;
-
   // kParallelBFS (and the kAuto escalation path):
   int num_threads = 0;  // 0 = hardware concurrency
   int shard_bits = -1;  // -1 = auto-tune from thread count and probe size
@@ -108,8 +104,8 @@ struct CheckRequest {
   std::vector<sim::ScheduleEvent> schedule;
 
   // Robustness layer (exhaustive strategies; see sim/explorer_config.hpp for
-  // the field contracts). Durable checkpoints and resume require the parallel
-  // engine's compact representation, so kAuto routes straight to the engine —
+  // the field contracts). Durable checkpoints and resume live in the parallel
+  // engine only, so kAuto routes straight to the engine —
   // no probe — whenever checkpoint_path or resume is set. The budget's
   // time_limit_ms / mem_limit_mb ride along inside `budget`.
   int sentinel_interval_ms = 50;
@@ -140,9 +136,8 @@ struct CheckReport {
   std::optional<sim::Violation> violation;
 
   // Exhaustive strategies (sequential / parallel / auto). `stats.store`
-  // carries the compact node-store statistics — states interned, arena bytes
-  // per node, canonicalization hit rate — when the run used the interned
-  // representation (stats.compact).
+  // carries the node-store statistics — states interned, arena bytes per
+  // node, canonicalization hit rate.
   sim::ExplorerStats stats;
 
   // Worker threads the executed backend actually resolved and ran with:

@@ -1,5 +1,6 @@
 #include "check/spec_system.hpp"
 
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -17,11 +18,17 @@ namespace {
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
 
-ScenarioSystem build_team(const ScenarioSpec& spec) {
-  auto type = typesys::make_type(spec.type);
+// The systems built below outlive this scope, so each hands its zoo type to
+// the system's TransitionCache, which keeps it alive.
+std::shared_ptr<const typesys::ObjectType> zoo_type(const ScenarioSpec& spec) {
+  std::shared_ptr<const typesys::ObjectType> type = typesys::make_type(spec.type);
   RCONS_ASSERT_MSG(type != nullptr, "spec type unknown to the zoo");
+  return type;
+}
+
+ScenarioSystem build_team(const ScenarioSpec& spec) {
   rc::TeamConsensusSystem built =
-      rc::make_team_consensus_system(*type, spec.n, kInputA, kInputB);
+      rc::make_team_consensus_system(zoo_type(spec), spec.n, kInputA, kInputB);
   ScenarioSystem system;
   system.memory = std::move(built.memory);
   system.processes = std::move(built.processes);
@@ -31,12 +38,10 @@ ScenarioSystem build_team(const ScenarioSpec& spec) {
 }
 
 ScenarioSystem build_halting(const ScenarioSpec& spec) {
-  auto type = typesys::make_type(spec.type);
-  RCONS_ASSERT_MSG(type != nullptr, "spec type unknown to the zoo");
   std::vector<typesys::Value> inputs;
   for (int i = 0; i < spec.n; ++i) inputs.push_back(i + 1);
   rc::HaltingConsensusSystem built =
-      rc::make_halting_consensus(*type, spec.n, inputs);
+      rc::make_halting_consensus(zoo_type(spec), spec.n, inputs);
   ScenarioSystem system;
   system.memory = std::move(built.memory);
   system.processes = std::move(built.processes);
@@ -55,11 +60,10 @@ ScenarioSystem build_naive_register(const ScenarioSpec& spec) {
 }
 
 ScenarioSystem build_k_set(const ScenarioSpec& spec) {
-  auto type = typesys::make_type(spec.type);
-  RCONS_ASSERT_MSG(type != nullptr, "spec type unknown to the zoo");
   RCONS_ASSERT_MSG(spec.k >= 2 && spec.k <= spec.n,
                    "algo=k-set needs 2 <= k <= n (parse validates this)");
-  rc::KSetTeamSystem built = rc::make_k_set_team_consensus(*type, spec.k, spec.n);
+  rc::KSetTeamSystem built =
+      rc::make_k_set_team_consensus(zoo_type(spec), spec.k, spec.n);
   ScenarioSystem system;
   system.memory = std::move(built.memory);
   system.processes = std::move(built.processes);

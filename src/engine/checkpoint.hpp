@@ -1,6 +1,6 @@
 // Durable checkpoints for the parallel exhaustive engine.
 //
-// A checkpoint is a consistent cut of a compact-representation run taken
+// A checkpoint is a consistent cut of a run taken
 // while every worker is parked at a pause barrier (or after they joined):
 // the interned node records (which double as the visited set), the frontier
 // as node indices, the visited counter, the partial statistics, and the best

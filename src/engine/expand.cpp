@@ -143,11 +143,6 @@ void encode_node(const Node& node, std::vector<Value>& scratch) {
   }
 }
 
-util::U128 fingerprint(const Node& node, std::vector<Value>& scratch) {
-  encode_node(node, scratch);
-  return fingerprint_values(scratch.data(), scratch.size());
-}
-
 util::U128 fingerprint_values(const Value* data, std::size_t size) {
   // One sweep advancing both 64-bit lanes; the length is folded in at the
   // end (FpStream::finish) so the same stream can absorb the encoding

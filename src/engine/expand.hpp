@@ -15,7 +15,7 @@
 //
 // Keeping this logic in one place is what makes the two explorers provably
 // explore the same deduplicated graph: they differ only in traversal order
-// and in how the visited set is stored.
+// and in how they schedule work.
 #ifndef RCONS_ENGINE_EXPAND_HPP
 #define RCONS_ENGINE_EXPAND_HPP
 
@@ -102,11 +102,10 @@ bool is_terminal(const Node& node);
 std::optional<sim::PropertyViolation> apply_event(Node& node, const Event& event,
                                                   const sim::ExplorerConfig& config);
 
-// The canonical encoding is assembled from these two helpers, shared by the
-// clone-based encode_node() below and the compact NodeCodec
-// (engine/node_store.hpp), so the two representations cannot drift: any
-// future property that adds node state extends the layout in exactly one
-// place and both paths keep fingerprinting identically.
+// The canonical encoding is assembled from these two helpers, shared by
+// encode_node() below and the NodeCodec (engine/node_store.hpp), so the two
+// cannot drift: any future property that adds node state extends the layout
+// in exactly one place.
 
 // Record header: crash budget spent, the sorted distinct-output constraint,
 // then the shared memory.
@@ -129,14 +128,13 @@ inline void encode_process_block(const Node& node, std::size_t i,
   node.processes[i].encode(out);
 }
 
-// Canonical encoding of the node (header + every process block) and its
-// 128-bit fingerprint. `scratch` is caller-provided to avoid per-node
-// allocation.
+// Canonical encoding of the node: header + every process block, in process
+// order. Exactly the prefix NodeCodec fingerprints when no symmetry is
+// declared. `scratch` is caller-provided to avoid per-node allocation.
 void encode_node(const Node& node, std::vector<typesys::Value>& scratch);
-util::U128 fingerprint(const Node& node, std::vector<typesys::Value>& scratch);
 
 // Streaming form of the node fingerprint: both 64-bit hash lanes absorb
-// values as they are appended to the encoding (the compact NodeCodec feeds
+// values as they are appended to the encoding (the NodeCodec feeds
 // each record segment right after writing it, while it is still cache-hot),
 // and the encoded length is folded in only at finish(). One pass produces
 // record + hash with no separate fingerprint sweep.
@@ -172,9 +170,8 @@ struct FpStream {
 };
 
 // Fingerprint of an already-encoded canonical prefix (== FpStream absorbing
-// the whole prefix). Shared by fingerprint() and the compact NodeCodec
-// (engine/node_store.hpp), so the clone-based and interned representations
-// key the visited set identically.
+// the whole prefix): the NodeCodec's reference sweep after a canonicalizing
+// permutation (engine/node_store.hpp).
 util::U128 fingerprint_values(const typesys::Value* data, std::size_t size);
 
 // Deterministic total order on events / event paths, matching the enumeration

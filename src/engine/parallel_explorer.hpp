@@ -25,18 +25,13 @@
 // duplicate probes before touching the shared tables at all.
 // ExplorerStats::hot counts the work saved and the contention observed.
 //
-// Two node representations share this driver (sim::NodeRepr selects):
-//
-//   * compact (default when every process is decodable) — nodes are interned
-//     value records in a sharded NodeStore arena; frontier items carry ids,
-//     and each worker decodes into reusable scratch nodes instead of cloning
-//     Memory + N Process objects per successor (engine/node_store.hpp);
-//   * legacy — the original clone-based WorkItems deduplicated through a
-//     fingerprint-only ShardedVisited set.
-//
-// Both explore the identical deduplicated graph
-// (tests/engine/differential_test.cpp); the compact path additionally
-// supports symmetry reduction via ExplorerConfig::symmetry_classes.
+// Nodes are interned value records in a sharded NodeStore arena that doubles
+// as the visited set; frontier items carry record views, and each worker
+// decodes into a reusable scratch node instead of cloning Memory + N Process
+// objects per successor (engine/node_store.hpp). Symmetry reduction
+// (ExplorerConfig::symmetry_classes) canonicalizes records before interning.
+// tests/engine/differential_test.cpp pins the explored graph against a
+// full-record reference explorer.
 //
 // Unlike the sequential explorer, which stops at the first violation its DFS
 // meets, the parallel engine keeps exploring until the frontier drains (or
@@ -62,7 +57,6 @@
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "engine/path_arena.hpp"
-#include "engine/visited.hpp"
 #include "sim/explorer_config.hpp"
 #include "sim/memory.hpp"
 #include "sim/process.hpp"
@@ -92,17 +86,13 @@ class ParallelExplorer {
 
   const sim::ExplorerStats& stats() const { return stats_; }
 
-  // Store/visited-set shard occupancy and frontier steal/batch counts of the
-  // last run() (whichever representation ran fills visited_stats()).
-  const ShardedVisited::LoadStats& visited_stats() const { return visited_stats_; }
+  // NodeStore (visited-set) shard occupancy and frontier steal/batch counts
+  // of the last run().
+  const NodeStore::LoadStats& visited_stats() const { return visited_stats_; }
   const Frontier::Stats& frontier_stats() const { return frontier_stats_; }
 
   int num_threads() const { return num_threads_; }
   int shard_bits() const { return shard_bits_; }
-
-  // Whether run() uses the compact interned representation (resolved from
-  // config.node_repr and the processes' decode support).
-  bool compact() const { return compact_; }
 
   // Public (not private) so the contract test can violate it on purpose and
   // watch the DCHECK fire under -DRCONS_FORCE_DCHECK=ON.
@@ -135,7 +125,7 @@ class ParallelExplorer {
   // Per-worker conservation law: every counted transition is classified
   // exactly once — it discovered a new state (visited), hit a duplicate, was
   // a violating edge (never expanded further), or was skipped whole by orbit
-  // reduction. Both worker loops restore this identity at every obs-flush
+  // reduction. The worker loop restores this identity at every obs-flush
   // boundary and at worker exit; drift means a classification branch was
   // added without its tally (or a tally without its transition).
   static void dcheck_transitions_identity(const WorkerStats& w) {
@@ -146,8 +136,8 @@ class ParallelExplorer {
   }
 
  private:
-  std::optional<sim::Violation> run_legacy();
-  std::optional<sim::Violation> run_compact();
+  // The exploration proper, after run() has reset the per-run state.
+  std::optional<sim::Violation> explore();
 
   // --- robustness layer -----------------------------------------------------
   //
@@ -190,13 +180,8 @@ class ParallelExplorer {
   void flush_worker_obs(std::size_t lane, WorkerStats& last_flushed,
                         const WorkerStats& local, std::uint64_t pending_now);
 
-  void worker_legacy(int id, Frontier& frontier, ShardedVisited& visited,
-                     PathArena& arena, std::atomic<std::uint64_t>& pending,
-                     WorkerStats& local);
-
-  void worker_compact(int id, CompactFrontier& frontier, NodeStore& store,
-                      PathArena& arena, std::atomic<std::uint64_t>& pending,
-                      WorkerStats& local);
+  void worker(int id, Frontier& frontier, NodeStore& store, PathArena& arena,
+              std::atomic<std::uint64_t>& pending, WorkerStats& local);
 
   // Dedup-table pre-size for a run: the expectation hint clamped by
   // max_visited (0 when unknown).
@@ -211,10 +196,9 @@ class ParallelExplorer {
   ParallelExplorerConfig config_;
   int num_threads_;
   int shard_bits_;
-  bool compact_;
 
   sim::ExplorerStats stats_;
-  ShardedVisited::LoadStats visited_stats_;
+  NodeStore::LoadStats visited_stats_;
   Frontier::Stats frontier_stats_;
 
   // Resolved metric handles for this run (inactive when config_.obs.metrics

@@ -88,7 +88,7 @@ const std::vector<NameDoc>& metric_names() {
       {"store.canonical_hits", "encodings the symmetry canonicalizer permuted"},
       {"store.encodes", "node encodings produced"},
       {"store.nodes", "unique states interned in the node store"},
-      {"store.rehashes", "incremental flat-table growths across shards"},
+      {"store.rehashes", "node-store index growth epochs across shards"},
       {"store.value_bytes", "arena payload bytes across interned records"},
   };
   return kNames;

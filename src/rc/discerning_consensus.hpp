@@ -88,9 +88,10 @@ struct HaltingConsensusSystem {
 
 // Full consensus (halting model) for inputs.size() ≤ witness_n processes via
 // tournament over the discerning team algorithm.
-HaltingConsensusSystem make_halting_consensus(const typesys::ObjectType& type,
-                                              int witness_n,
-                                              const std::vector<typesys::Value>& inputs);
+// The system's TransitionCache owns `type`, so the caller may drop it.
+HaltingConsensusSystem make_halting_consensus(
+    std::shared_ptr<const typesys::ObjectType> type, int witness_n,
+    const std::vector<typesys::Value>& inputs);
 
 }  // namespace rcons::rc
 

@@ -12,8 +12,8 @@ namespace rcons::rc {
 
 using typesys::Value;
 
-KSetTeamSystem make_k_set_team_consensus(const typesys::ObjectType& type, int k,
-                                         int n) {
+KSetTeamSystem make_k_set_team_consensus(std::shared_ptr<const typesys::ObjectType> type,
+                                         int k, int n) {
   RCONS_ASSERT_MSG(k >= 1, "k-set agreement needs k >= 1");
   RCONS_ASSERT_MSG(n >= k, "every group must be non-empty (k <= n)");
 

@@ -21,10 +21,11 @@
 // and hence cannot solve 3-process consensus this way at all).
 //
 // Processes run StagedProgram chains of length <= 1 (rc/staged.hpp), so the
-// whole system is decodable and the staged symmetry declaration applies.
+// staged symmetry declaration applies.
 #ifndef RCONS_RC_K_SET_HPP
 #define RCONS_RC_K_SET_HPP
 
+#include <memory>
 #include <vector>
 
 #include "rc/tournament.hpp"
@@ -51,8 +52,9 @@ struct KSetTeamSystem {
 // are distinct per (group, team): group g announces 100*(g+1)+1 (team A /
 // singleton) and 100*(g+1)+2 (team B), and `inputs` doubles as the validity
 // set. Requires 1 <= k <= n.
-KSetTeamSystem make_k_set_team_consensus(const typesys::ObjectType& type, int k,
-                                         int n);
+// The system's TransitionCaches own `type`, so the caller may drop it.
+KSetTeamSystem make_k_set_team_consensus(std::shared_ptr<const typesys::ObjectType> type,
+                                         int k, int n);
 
 }  // namespace rcons::rc
 

@@ -124,9 +124,10 @@ std::size_t TeamConsensusProgram::decode(const Value* data, std::size_t size) {
   return 2;
 }
 
-TeamConsensusSystem make_team_consensus_system(const typesys::ObjectType& type, int n,
-                                               Value input_a, Value input_b) {
-  auto cache = std::make_shared<typesys::TransitionCache>(type, n);
+namespace {
+
+TeamConsensusSystem build_team_consensus(std::shared_ptr<typesys::TransitionCache> cache,
+                                         Value input_a, Value input_b) {
   auto witness = hierarchy::find_recording_witness(*cache);
   RCONS_ASSERT_MSG(witness.has_value(), "type is not n-recording");
   auto plan = TeamConsensusPlan::create(cache, *witness);
@@ -148,6 +149,21 @@ TeamConsensusSystem make_team_consensus_system(const typesys::ObjectType& type, 
     system.symmetry_classes.push_back(it->second);
   }
   return system;
+}
+
+}  // namespace
+
+TeamConsensusSystem make_team_consensus_system(const typesys::ObjectType& type, int n,
+                                               Value input_a, Value input_b) {
+  return build_team_consensus(std::make_shared<typesys::TransitionCache>(type, n),
+                              input_a, input_b);
+}
+
+TeamConsensusSystem make_team_consensus_system(
+    std::shared_ptr<const typesys::ObjectType> type, int n, Value input_a,
+    Value input_b) {
+  return build_team_consensus(
+      std::make_shared<typesys::TransitionCache>(std::move(type), n), input_a, input_b);
 }
 
 }  // namespace rcons::rc

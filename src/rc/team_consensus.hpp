@@ -101,9 +101,15 @@ struct TeamConsensusSystem {
   std::vector<int> symmetry_classes;
 };
 
+// The reference overload is non-owning: the caller keeps `type` alive for as
+// long as the system runs. The shared_ptr overload hands the type to the
+// system's TransitionCache, for types built ad hoc (typesys::make_type).
 TeamConsensusSystem make_team_consensus_system(const typesys::ObjectType& type, int n,
                                                typesys::Value input_a,
                                                typesys::Value input_b);
+TeamConsensusSystem make_team_consensus_system(
+    std::shared_ptr<const typesys::ObjectType> type, int n, typesys::Value input_a,
+    typesys::Value input_b);
 
 }  // namespace rcons::rc
 

@@ -16,11 +16,9 @@
 // tractable; dedup keys are 128-bit hashes of the canonical encoding, making
 // a pruning collision astronomically unlikely (documented trade-off).
 //
-// Two node representations share the depth-first traversal (NodeRepr in
-// sim/explorer_config.hpp selects): the compact path interns each state's
-// encoding once in an engine::NodeStore and re-decodes into a reusable
-// scratch node per successor, while the legacy path clones the full Node.
-// Both visit the identical deduplicated graph; the compact path additionally
+// The depth-first traversal interns each state's encoding once in an
+// engine::NodeStore (which doubles as the visited set) and re-decodes into a
+// reusable scratch node per successor instead of cloning processes. It
 // honours ExplorerConfig::symmetry_classes (canonical fingerprints — see
 // engine/node_store.hpp).
 //
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "engine/expand.hpp"
-#include "engine/flat_table.hpp"
 #include "engine/node_store.hpp"
 #include "engine/obs_cells.hpp"
 #include "sim/explorer_config.hpp"
@@ -58,48 +55,37 @@ class Explorer {
 
   const ExplorerStats& stats() const { return stats_; }
 
-  // Whether run() uses the compact interned representation (resolved from
-  // config.node_repr and the processes' decode support).
-  bool compact() const { return compact_; }
-
  private:
-  std::optional<Violation> dfs(const engine::Node& node);
-  bool insert_visited(const engine::Node& node);
-
   // Resource sentinels, polled inline every kLimitPollTransitions transitions
   // (the sequential explorer has no monitor thread). Returns the typed
   // truncated verdict when a limit tripped; the hot path with no limits set
   // never touches a clock.
   std::optional<Violation> poll_limits();
 
-  std::optional<Violation> run_compact();
-  std::optional<Violation> dfs_compact(const typesys::Value* record,
-                                       std::size_t size);
+  // The interning store and codec live for one run(); explore() builds them,
+  // interns the root, and runs the DFS.
+  std::optional<Violation> explore();
+  std::optional<Violation> dfs(const typesys::Value* record, std::size_t size);
 
   Memory initial_memory_;
   std::vector<Process> initial_processes_;
   ExplorerConfig config_;
-  bool compact_ = false;
   ExplorerStats stats_;
-  // Legacy-path visited set: the same flat open-addressing table the engine
-  // shards (engine/flat_table.hpp) — no per-insert node allocation.
-  engine::FlatTable visited_;
   std::vector<engine::Event> path_;
   // Per-depth event buffers, reused across siblings. A deque because deeper
   // recursion grows it while shallower frames hold references into it, and
   // deque growth at the end never invalidates existing elements.
   std::deque<std::vector<engine::Event>> events_pool_;
-  std::vector<typesys::Value> scratch_;
 
-  // Compact-representation state (unused on the legacy path): the interning
-  // store, one decoded scratch node shared by every depth (restored from the
-  // parent's record between successors — see NodeCodec::restore), and the
-  // codec with its canonicalizer. Parent records are read in place from the
-  // store arena (stable, immutable — NodeStore::Intern), so recursion holds
-  // pointers instead of per-depth record copies. Probe/CAS work accumulates
-  // caller-side in table_ops_ (the lock-free table keeps no shared tallies);
-  // orbit_skip_ is the per-expansion stabilizer mask, fully consumed by
-  // enumerate_events before any recursion can overwrite it.
+  // The interning store, one decoded scratch node shared by every depth
+  // (restored from the parent's record between successors — see
+  // NodeCodec::restore), and the codec with its canonicalizer. Parent
+  // records are read in place from the store arena (stable, immutable —
+  // NodeStore::Intern), so recursion holds pointers instead of per-depth
+  // record copies. Probe/CAS work accumulates caller-side in table_ops_ (the
+  // lock-free table keeps no shared tallies); orbit_skip_ is the
+  // per-expansion stabilizer mask, fully consumed by enumerate_events before
+  // any recursion can overwrite it.
   std::unique_ptr<engine::NodeStore> store_;
   std::unique_ptr<engine::NodeCodec> codec_;
   engine::Node scratch_node_;

@@ -31,12 +31,17 @@ struct BrokenConsensus {
     return sim::StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 struct ConstantDecider {
   typesys::Value value = 0;
   sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+  std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
 };
 
 CheckRequest broken_request() {
@@ -196,9 +201,9 @@ TEST(CheckTest, SystemPropertySetIsTheOneSourceOfValidity) {
   EXPECT_NE(report.violation->description.find("validity"), std::string::npos);
 }
 
-TEST(CheckTest, ReportsNodeStoreStatsOnDecodableSystems) {
-  // Team-consensus programs decode, so exhaustive strategies run on the
-  // compact interned representation and the report carries store stats.
+TEST(CheckTest, ReportsNodeStoreStats) {
+  // Exhaustive strategies run on the interned node store, and the report
+  // carries its stats.
   auto type = typesys::make_type("Sn(2)");
   rc::TeamConsensusSystem system =
       rc::make_team_consensus_system(*type, 2, kInputA, kInputB);
@@ -210,7 +215,6 @@ TEST(CheckTest, ReportsNodeStoreStatsOnDecodableSystems) {
   request.strategy = Strategy::kSequentialDFS;
   const CheckReport report = check(std::move(request));
   ASSERT_TRUE(report.clean);
-  EXPECT_TRUE(report.stats.compact);
   EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);  // + root
   EXPECT_GT(report.stats.store.bytes_per_node(), 0.0);
   EXPECT_GT(report.stats.store.encodes, report.stats.visited);
@@ -241,9 +245,9 @@ TEST(CheckTest, SymmetryDeclarationShrinksVisitedSetThroughFacade) {
   EXPECT_GT(reduced.stats.store.canonical_hit_rate(), 0.0);
 }
 
-TEST(CheckTest, LegacyRepresentationStillWorksThroughFacade) {
-  // Programs without decode() (like this test's BrokenConsensus) fall back
-  // to clone-based nodes; forcing kLegacy on a decodable system works too.
+TEST(CheckTest, ToyProgramsRunOnTheNodeStoreThroughFacade) {
+  // A hand-written toy program (this test's BrokenConsensus) interns its
+  // states like the real algorithms do.
   CheckRequest request;
   const sim::RegId reg = request.system.memory.add_register();
   request.system.processes.emplace_back(BrokenConsensus{reg, 1, 0});
@@ -253,8 +257,7 @@ TEST(CheckTest, LegacyRepresentationStillWorksThroughFacade) {
   request.strategy = Strategy::kParallelBFS;
   const CheckReport report = check(std::move(request));
   ASSERT_FALSE(report.clean);
-  EXPECT_FALSE(report.stats.compact);
-  EXPECT_EQ(report.stats.store.nodes, 0u);
+  EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);  // + root
 }
 
 TEST(CheckTest, WallTimeIsReported) {

@@ -32,17 +32,22 @@ struct BrokenConsensus {
     return sim::StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 struct ConstantDecider {
   typesys::Value value = 0;
   sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+  std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
 };
 
 ScenarioSystem make_halting_tas_system() {
   auto type = typesys::make_type("test-and-set");
-  rc::HaltingConsensusSystem system = rc::make_halting_consensus(*type, 2, {5, 6});
+  rc::HaltingConsensusSystem system = rc::make_halting_consensus(std::move(type), 2, {5, 6});
   ScenarioSystem out;
   out.memory = std::move(system.memory);
   out.processes = std::move(system.processes);
@@ -141,6 +146,10 @@ TEST(ViolationReplayTest, WaitFreedomViolationRoundTripsWithSameBudget) {
       return sim::StepResult::running();
     }
     void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
+    std::size_t decode(const typesys::Value* data, std::size_t) {
+      count = static_cast<long>(data[0]);
+      return 1;
+    }
   };
   auto make_looper_system = [] {
     ScenarioSystem out;

@@ -86,6 +86,28 @@ TEST(CliExitCodeTest, InvalidInputExitsTwo) {
   EXPECT_EQ(run_cli(spec + " --checkpoint-every=10", "everynoout").exit_code, 2);
 }
 
+TEST(CliExitCodeTest, HaltingSpecsExitWithATypedCode) {
+  // algo=halting builds its zoo type inside the spec builder; the system must
+  // keep that type alive after the builder returns (a dangling type used to
+  // crash every strategy with SIGSEGV, shell exit 139). CAS loses agreement
+  // once a crash is allowed; a consensus object stays recoverable.
+  struct Case {
+    const char* type;
+    int exit_code;
+  };
+  for (const Case c : {Case{"compare-and-swap", 1}, Case{"consensus-object", 0}}) {
+    const std::string spec = temp_path(std::string("halting_") + c.type + ".spec");
+    write_file(spec, std::string("type=") + c.type +
+                         " n=2 model=independent budget=1 algo=halting\n");
+    for (const char* strategy : {"dfs", "bfs", "random"}) {
+      const RunResult result = run_cli(spec + " --strategy=" + strategy, "halting");
+      EXPECT_EQ(result.exit_code, c.exit_code)
+          << c.type << " --strategy=" << strategy << "\n"
+          << result.output;
+    }
+  }
+}
+
 TEST(CliExitCodeTest, TruncationExitsThree) {
   const std::string spec = temp_path("trunc.spec");
   write_file(spec, "type=Sn(3) n=3 budget=2 max_visited=100\n");

@@ -1,10 +1,12 @@
-// Differential test of the node representations: with symmetry reduction
-// off, the compact interned-record explorers must traverse the *identical*
-// deduplicated graph as the legacy clone-based expansion — same visited /
-// transition / decision / terminal counts, same verdict, and (for the
-// deterministic reporters) the same violating schedule. With symmetry
-// reduction on, the visited set must only shrink (never grow) and the
-// verdict must be preserved.
+// Differential test of the production explorers against the full-record
+// reference explorer (tests/support/reference_explorer.hpp). With symmetry
+// reduction off, sim::Explorer and engine::ParallelExplorer at t=1 and t=4
+// must traverse the *identical* deduplicated graph as the reference — same
+// visited / transition / decision / terminal counts and the same verdict —
+// and sim::Explorer, which shares the reference's DFS event order and
+// first-path dedup, must report the same violating schedule. With symmetry
+// reduction on, the visited set may only shrink (never grow) and the verdict
+// must be preserved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,13 +19,19 @@
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "sim/explorer.hpp"
+#include "support/reference_explorer.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
 namespace {
 
+using test::OnViolation;
+using test::ReferenceExplorer;
+using test::ReferenceResult;
+
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
+constexpr int kThreadCounts[] = {1, 4};
 
 struct Outcome {
   std::optional<sim::Violation> violation;
@@ -36,11 +44,13 @@ struct System {
   std::vector<int> symmetry_classes;
 };
 
-Outcome run_sequential(const System& system, sim::ExplorerConfig config,
-                       sim::NodeRepr repr, bool expect_compact) {
-  config.node_repr = repr;
+ReferenceResult run_reference(const System& system, const sim::ExplorerConfig& config,
+                              OnViolation mode) {
+  return ReferenceExplorer(config, mode).run(system.memory, system.processes);
+}
+
+Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
   sim::Explorer explorer(system.memory, system.processes, config);
-  EXPECT_EQ(explorer.compact(), expect_compact);
   Outcome outcome;
   outcome.violation = explorer.run();
   outcome.stats = explorer.stats();
@@ -48,30 +58,50 @@ Outcome run_sequential(const System& system, sim::ExplorerConfig config,
 }
 
 Outcome run_parallel(const System& system, const sim::ExplorerConfig& base,
-                     sim::NodeRepr repr, bool expect_compact, int threads) {
+                     int threads) {
   ParallelExplorerConfig config;
   static_cast<sim::ExplorerConfig&>(config) = base;
-  config.node_repr = repr;
   config.num_threads = threads;
   ParallelExplorer explorer(system.memory, system.processes, config);
-  EXPECT_EQ(explorer.compact(), expect_compact);
   Outcome outcome;
   outcome.violation = explorer.run();
   outcome.stats = explorer.stats();
   return outcome;
 }
 
-void expect_identical_graph(const Outcome& legacy, const Outcome& compact,
+void expect_identical_graph(const ReferenceResult& reference, const Outcome& outcome,
                             const std::string& label) {
-  EXPECT_EQ(legacy.violation.has_value(), compact.violation.has_value()) << label;
-  EXPECT_EQ(legacy.stats.visited, compact.stats.visited) << label;
-  EXPECT_EQ(legacy.stats.transitions, compact.stats.transitions) << label;
-  EXPECT_EQ(legacy.stats.decisions, compact.stats.decisions) << label;
-  EXPECT_EQ(legacy.stats.terminal_states, compact.stats.terminal_states) << label;
-  EXPECT_EQ(legacy.stats.truncated, compact.stats.truncated) << label;
-  if (legacy.violation.has_value() && compact.violation.has_value()) {
-    EXPECT_EQ(legacy.violation->description, compact.violation->description) << label;
-    EXPECT_EQ(legacy.violation->schedule, compact.violation->schedule) << label;
+  EXPECT_EQ(reference.violation.has_value(), outcome.violation.has_value()) << label;
+  EXPECT_FALSE(outcome.stats.truncated) << label;
+  EXPECT_EQ(reference.visited, outcome.stats.visited) << label;
+  EXPECT_EQ(reference.transitions, outcome.stats.transitions) << label;
+  EXPECT_EQ(reference.decisions, outcome.stats.decisions) << label;
+  EXPECT_EQ(reference.terminal_states, outcome.stats.terminal_states) << label;
+  // Every interned record is a visited state or the root; with no symmetry
+  // declared nothing is ever permuted.
+  EXPECT_EQ(outcome.stats.store.nodes, outcome.stats.visited + 1) << label;
+  EXPECT_EQ(outcome.stats.store.canonical_hits, 0u) << label;
+  if (reference.violation.has_value() && outcome.violation.has_value()) {
+    EXPECT_EQ(reference.violation->property, outcome.violation->property) << label;
+  }
+}
+
+// sim::Explorer against the stop-at-first-violation reference, then the
+// parallel engine at every thread count against the draining reference.
+void expect_explorers_match_reference(const System& system,
+                                      const sim::ExplorerConfig& config) {
+  const ReferenceResult first = run_reference(system, config, OnViolation::kStop);
+  const Outcome sequential = run_sequential(system, config);
+  expect_identical_graph(first, sequential, "sequential");
+  if (first.violation.has_value() && sequential.violation.has_value()) {
+    EXPECT_EQ(first.violation->description, sequential.violation->description);
+    EXPECT_EQ(first.violation->schedule, sequential.violation->schedule);
+  }
+
+  const ReferenceResult drained = run_reference(system, config, OnViolation::kDrain);
+  for (const int threads : kThreadCounts) {
+    expect_identical_graph(drained, run_parallel(system, config, threads),
+                           "parallel t=" + std::to_string(threads));
   }
 }
 
@@ -84,6 +114,14 @@ System team_consensus_system(const std::string& type_name, int n) {
                 std::move(built.symmetry_classes)};
 }
 
+sim::ExplorerConfig team_config(int crash_budget, sim::CrashModel crash_model) {
+  sim::ExplorerConfig config;
+  config.crash_model = crash_model;
+  config.crash_budget = crash_budget;
+  config.properties.valid_outputs = {kInputA, kInputB};
+  return config;
+}
+
 struct SeedCase {
   std::string type_name;
   int n;
@@ -93,33 +131,12 @@ struct SeedCase {
 
 class DifferentialSeedTest : public ::testing::TestWithParam<SeedCase> {};
 
-TEST_P(DifferentialSeedTest, CompactAndLegacyExploreTheIdenticalGraph) {
+TEST_P(DifferentialSeedTest, ExplorersMatchTheFullRecordReference) {
   const SeedCase& c = GetParam();
   const System system = team_consensus_system(c.type_name, c.n);
-
-  sim::ExplorerConfig config;
-  config.crash_model = c.crash_model;
-  config.crash_budget = c.crash_budget;
-  config.properties.valid_outputs = {kInputA, kInputB};
-
-  const Outcome seq_legacy =
-      run_sequential(system, config, sim::NodeRepr::kLegacy, false);
-  const Outcome seq_compact =
-      run_sequential(system, config, sim::NodeRepr::kCompact, true);
-  expect_identical_graph(seq_legacy, seq_compact, "sequential");
-  EXPECT_TRUE(seq_compact.stats.compact);
-  EXPECT_FALSE(seq_legacy.stats.compact);
-  // Interned nodes = visited states + the root; every record costs bytes.
-  EXPECT_EQ(seq_compact.stats.store.nodes, seq_compact.stats.visited + 1);
-  EXPECT_GT(seq_compact.stats.store.bytes_per_node(), 0.0);
-  EXPECT_EQ(seq_compact.stats.store.canonical_hits, 0u);  // symmetry off
-
-  const Outcome par_legacy =
-      run_parallel(system, config, sim::NodeRepr::kLegacy, false, 4);
-  expect_identical_graph(seq_legacy, par_legacy, "parallel-legacy");
-  const Outcome par_compact =
-      run_parallel(system, config, sim::NodeRepr::kCompact, true, 4);
-  expect_identical_graph(seq_legacy, par_compact, "parallel-compact");
+  const sim::ExplorerConfig config = team_config(c.crash_budget, c.crash_model);
+  ASSERT_FALSE(run_reference(system, config, OnViolation::kStop).violation.has_value());
+  expect_explorers_match_reference(system, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,10 +157,11 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(DifferentialTest, ViolatingSystemsReportTheSameLowestViolation) {
-  // The naive register race: both explorers must find a violation, and the
-  // deterministic reporters (sequential first-DFS violation, parallel
-  // lowest-trace violation) must agree between representations.
+TEST(DifferentialTest, ViolatingSystemMatchesTheReference) {
+  // The naive register race: every explorer must find a violation, the
+  // sequential one on the reference's exact schedule, and the parallel
+  // engine — which drains the graph instead of stopping — on the reference's
+  // full violation-free graph.
   rc::NaiveRegisterSystem built = rc::make_naive_register_system(2);
   const System system{std::move(built.memory), std::move(built.processes), {}};
 
@@ -151,41 +169,35 @@ TEST(DifferentialTest, ViolatingSystemsReportTheSameLowestViolation) {
   config.crash_budget = 1;
   config.properties.valid_outputs = built.inputs;
 
-  const Outcome seq_legacy =
-      run_sequential(system, config, sim::NodeRepr::kLegacy, false);
-  const Outcome seq_compact =
-      run_sequential(system, config, sim::NodeRepr::kCompact, true);
-  ASSERT_TRUE(seq_legacy.violation.has_value());
-  expect_identical_graph(seq_legacy, seq_compact, "sequential");
-
-  const Outcome par_legacy =
-      run_parallel(system, config, sim::NodeRepr::kLegacy, false, 4);
-  const Outcome par_compact =
-      run_parallel(system, config, sim::NodeRepr::kCompact, true, 4);
-  ASSERT_TRUE(par_legacy.violation.has_value());
-  ASSERT_TRUE(par_compact.violation.has_value());
-  expect_identical_graph(par_legacy, par_compact, "parallel");
+  const ReferenceResult reference = run_reference(system, config, OnViolation::kDrain);
+  ASSERT_TRUE(reference.violation.has_value());
+  EXPECT_GT(reference.violation_edges, 0u);
+  expect_explorers_match_reference(system, config);
 }
 
 TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
+  // Sn(4) n=4 with one independent crash is the pinned instance: 38837
+  // states plain, 8987 with its symmetry declaration.
   for (const char* type_name : {"Sn(3)", "Sn(4)"}) {
     const int n = type_name == std::string("Sn(3)") ? 3 : 4;
     const System system = team_consensus_system(type_name, n);
     ASSERT_FALSE(system.symmetry_classes.empty());
 
-    sim::ExplorerConfig config;
-    config.crash_budget = 1;
-    config.properties.valid_outputs = {kInputA, kInputB};
-
-    const Outcome off = run_sequential(system, config, sim::NodeRepr::kCompact, true);
+    const sim::ExplorerConfig config = team_config(1, sim::CrashModel::kIndependent);
+    const ReferenceResult reference = run_reference(system, config, OnViolation::kStop);
+    if (n == 4) {
+      EXPECT_EQ(reference.visited, 38837u);
+    }
 
     sim::ExplorerConfig with_symmetry = config;
     with_symmetry.symmetry_classes = system.symmetry_classes;
-    const Outcome on =
-        run_sequential(system, with_symmetry, sim::NodeRepr::kCompact, true);
+    const Outcome on = run_sequential(system, with_symmetry);
 
-    EXPECT_EQ(off.violation.has_value(), on.violation.has_value()) << type_name;
-    EXPECT_LE(on.stats.visited, off.stats.visited) << type_name;
+    EXPECT_EQ(reference.violation.has_value(), on.violation.has_value()) << type_name;
+    EXPECT_LE(on.stats.visited, reference.visited) << type_name;
+    if (n == 4) {
+      EXPECT_EQ(on.stats.visited, 8987u);
+    }
 
     // The declaration only helps when some class has >= 2 members; when it
     // does, team consensus has genuinely symmetric reachable states.
@@ -195,19 +207,17 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
       largest = std::max(largest, ++counts[static_cast<std::size_t>(cls)]);
     }
     if (largest >= 2) {
-      EXPECT_LT(on.stats.visited, off.stats.visited) << type_name;
+      EXPECT_LT(on.stats.visited, reference.visited) << type_name;
       EXPECT_GT(on.stats.store.canonical_hits, 0u) << type_name;
     }
 
     // The parallel engine agrees with the sequential explorer under
     // canonicalization too.
-    ParallelExplorerConfig par_config;
-    static_cast<sim::ExplorerConfig&>(par_config) = with_symmetry;
-    par_config.num_threads = 4;
-    ParallelExplorer parallel(system.memory, system.processes, par_config);
-    const auto par_violation = parallel.run();
-    EXPECT_EQ(par_violation.has_value(), on.violation.has_value()) << type_name;
-    EXPECT_EQ(parallel.stats().visited, on.stats.visited) << type_name;
+    for (const int threads : kThreadCounts) {
+      const Outcome parallel = run_parallel(system, with_symmetry, threads);
+      EXPECT_EQ(parallel.violation.has_value(), on.violation.has_value()) << type_name;
+      EXPECT_EQ(parallel.stats.visited, on.stats.visited) << type_name;
+    }
   }
 }
 

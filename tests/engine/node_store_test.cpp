@@ -1,7 +1,7 @@
-// Unit tests of the compact interned node representation: NodeStore
-// intern/fetch round trips, NodeCodec encode/decode inversion (including
-// fingerprint parity with the legacy clone-based encoding), and the
-// Canonicalizer's symmetry reduction.
+// Unit tests of the interned node representation: NodeStore intern/fetch
+// round trips, load statistics and shard_bits tuning, NodeCodec
+// encode/decode inversion (including the fingerprinted prefix being exactly
+// engine::encode_node), and the Canonicalizer's symmetry reduction.
 #include "engine/node_store.hpp"
 
 #include <gtest/gtest.h>
@@ -69,6 +69,41 @@ TEST(NodeStoreTest, StatsCountNodesAndBytes) {
   EXPECT_EQ(load.total, 2u);
 }
 
+TEST(NodeStoreTest, LoadStatsTrackOccupancyAndDuplicates) {
+  NodeStore store(3);
+  EXPECT_EQ(store.num_shards(), 8);
+  for (std::uint64_t i = 0; i < 1000; ++i) store.intern(key(i), record_of(i, 2));
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EXPECT_FALSE(store.intern(key(i), record_of(i, 2)).inserted);
+  }
+  const NodeStore::LoadStats stats = store.load_stats();
+  EXPECT_EQ(stats.total, 1000u);
+  EXPECT_EQ(stats.duplicate_inserts, 10u);
+  EXPECT_GE(stats.max_shard, stats.min_shard);
+  // Mixed keys should spread roughly evenly: no shard more than 2x the mean.
+  EXPECT_LT(stats.imbalance, 2.0);
+}
+
+TEST(NodeStoreTest, ProbeStatsAccumulateCallerSide) {
+  // Probe work is tallied in the caller's OpStats (the lock-free index keeps
+  // no shared counters a hot intern would have to touch).
+  NodeStore store(2);
+  CasTable::OpStats ops;
+  for (std::uint64_t i = 0; i < 500; ++i) store.intern(key(i), record_of(i, 1), 0, &ops);
+  EXPECT_GE(ops.probe_ops, 500u);
+  EXPECT_GE(ops.probe_total, ops.probe_ops);
+  EXPECT_GE(ops.max_probe, 1u);
+  // 500 keys over 4 minimally-sized shards must have grown incrementally.
+  EXPECT_GT(store.load_stats().rehashes, 0u);
+}
+
+TEST(NodeStoreTest, PresizingAvoidsRehashes) {
+  NodeStore store(2, /*expected_states=*/10'000);
+  for (std::uint64_t i = 0; i < 10'000; ++i) store.intern(key(i), record_of(i, 1));
+  EXPECT_EQ(store.size(), 10'000u);
+  EXPECT_EQ(store.load_stats().rehashes, 0u);
+}
+
 TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kKeys = 2000;
@@ -95,13 +130,12 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   EXPECT_EQ(fetched, record_of(123, 3));
 }
 
-// Encode/decode must be mutually inverse, and the fingerprint must equal the
-// legacy clone-based fingerprint of the same node (that is what lets compact
-// and legacy runs explore the identical deduplicated graph).
-TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesLegacyFingerprint) {
+// Encode/decode must be mutually inverse, and the fingerprinted record
+// prefix must be exactly encode_node() of the same node — the full-record
+// dedup key of the reference explorer the differential test compares with.
+TEST(NodeCodecTest, EncodeDecodeRoundTripsAndPrefixIsEncodeNode) {
   rc::NaiveRegisterSystem system = rc::make_naive_register_system(2);
   Node root = make_root(system.memory, system.processes);
-  ASSERT_TRUE(NodeCodec::decodable(root));
 
   sim::ExplorerConfig config;
   config.crash_budget = 1;
@@ -117,8 +151,11 @@ TEST(NodeCodecTest, EncodeDecodeRoundTripsAndMatchesLegacyFingerprint) {
   const NodeCodec::Encoded encoded = codec.encode(state, record);
   EXPECT_FALSE(encoded.permuted);
 
-  std::vector<typesys::Value> legacy;
-  EXPECT_EQ(encoded.fingerprint, fingerprint(state, legacy));
+  std::vector<typesys::Value> full;
+  encode_node(state, full);
+  ASSERT_EQ(encoded.fingerprint_length, full.size());
+  EXPECT_TRUE(std::equal(full.begin(), full.end(), record.begin()));
+  EXPECT_EQ(encoded.fingerprint, fingerprint_values(full.data(), full.size()));
 
   // Decode into a scratch node that currently holds a different state.
   Node scratch = root;
@@ -225,6 +262,49 @@ TEST(NodeCodecTest, TeamConsensusSystemsDeclareUsableSymmetry) {
   int largest = 0;
   for (const int size : class_sizes) largest = std::max(largest, size);
   EXPECT_GE(largest, 2) << "no interchangeable roles — canonicalization inert";
+}
+
+TEST(PickShardBitsTest, SingleWorkerGetsSequentialLayout) {
+  EXPECT_EQ(pick_shard_bits(1, 0), 0);
+  EXPECT_EQ(pick_shard_bits(1, 1'000'000'000), 0);
+  EXPECT_EQ(pick_shard_bits(0, 1'000'000), 0);
+}
+
+TEST(PickShardBitsTest, ContentionBoundScalesWithThreads) {
+  // Unknown state space: shards >= 8 * threads, rounded up to a power of two.
+  EXPECT_EQ(pick_shard_bits(2, 0), 4);    // 16 shards
+  EXPECT_EQ(pick_shard_bits(4, 0), 5);    // 32 shards
+  EXPECT_EQ(pick_shard_bits(8, 0), 6);    // 64 shards
+  EXPECT_EQ(pick_shard_bits(16, 0), 7);   // 128 shards
+  EXPECT_EQ(pick_shard_bits(64, 0), 9);   // 512 shards
+  // Monotone in the thread count.
+  int previous = 0;
+  for (int threads = 1; threads <= 128; threads *= 2) {
+    const int bits = pick_shard_bits(threads, 0);
+    EXPECT_GE(bits, previous) << threads;
+    previous = bits;
+  }
+}
+
+TEST(PickShardBitsTest, OccupancyCapShrinksSmallStateSpaces) {
+  // A 1000-state space should not be spread over more than ~1000/64 shards.
+  EXPECT_LE(pick_shard_bits(8, 1000), 4);
+  // A tiny space degenerates to very few shards no matter the thread count.
+  EXPECT_EQ(pick_shard_bits(64, 100), 0);
+  // A huge space leaves the contention bound in charge.
+  EXPECT_EQ(pick_shard_bits(8, 100'000'000), 6);
+}
+
+TEST(PickShardBitsTest, ResultAlwaysWithinSupportedRange) {
+  for (const int threads : {1, 2, 7, 33, 1000, 100'000}) {
+    for (const std::uint64_t states : {std::uint64_t{0}, std::uint64_t{1},
+                                       std::uint64_t{1'000'000},
+                                       ~std::uint64_t{0}}) {
+      const int bits = pick_shard_bits(threads, states);
+      EXPECT_GE(bits, 0) << threads << " " << states;
+      EXPECT_LE(bits, 16) << threads << " " << states;
+    }
+  }
 }
 
 }  // namespace

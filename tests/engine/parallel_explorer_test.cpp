@@ -36,6 +36,10 @@ struct BrokenConsensus {
     return sim::StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 ParallelExplorerConfig parallel_config(const sim::ExplorerConfig& base,
@@ -209,6 +213,7 @@ TEST(ParallelExplorerTest, FindsValidityViolation) {
     typesys::Value value = 0;
     sim::StepResult step(sim::Memory&) { return sim::StepResult::decided(value); }
     void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+    std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
   };
   sim::Memory memory;
   std::vector<sim::Process> processes;
@@ -233,6 +238,10 @@ TEST(ParallelExplorerTest, WaitFreedomBoundFlagsLoopers) {
       return sim::StepResult::running();
     }
     void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
+    std::size_t decode(const typesys::Value* data, std::size_t) {
+      count = static_cast<long>(data[0]);
+      return 1;
+    }
   };
   sim::Memory memory;
   const sim::RegId reg = memory.add_register();

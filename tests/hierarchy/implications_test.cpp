@@ -8,6 +8,10 @@
 //   3-discerning ⇒ 2-recording                 (Proposition 18)
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+
 #include "hierarchy/discerning.hpp"
 #include "hierarchy/recording.hpp"
 #include "typesys/zoo.hpp"
@@ -30,43 +34,65 @@ std::vector<GridCase> grid() {
   return cases;
 }
 
+// The five implications below ask up to four predicates per grid cell, and
+// neighbouring cells ask the same (type, n) again; the negative answers at
+// n=6 take seconds each. So each predicate runs once per test binary, and
+// every later ask reads this memo (gtest runs the cases on one thread).
+enum class Predicate { kRecording, kDiscerning };
+
+bool holds(Predicate predicate, const std::string& type_name, int n) {
+  static std::map<std::tuple<Predicate, std::string, int>, bool> memo;
+  const auto key = std::make_tuple(predicate, type_name, n);
+  if (const auto it = memo.find(key); it != memo.end()) return it->second;
+  const auto type = typesys::make_type(type_name);
+  const bool value = predicate == Predicate::kRecording ? is_recording(*type, n)
+                                                        : is_discerning(*type, n);
+  memo.emplace(key, value);
+  return value;
+}
+
 class Figure1Test : public ::testing::TestWithParam<GridCase> {
  protected:
-  std::unique_ptr<typesys::ObjectType> type_ = typesys::make_type(GetParam().type_name);
+  bool recording(int n) const {
+    return holds(Predicate::kRecording, GetParam().type_name, n);
+  }
+  bool discerning(int n) const {
+    return holds(Predicate::kDiscerning, GetParam().type_name, n);
+  }
 };
 
 TEST_P(Figure1Test, Observation5RecordingImpliesDiscerning) {
   const int n = GetParam().n;
-  if (is_recording(*type_, n)) {
-    EXPECT_TRUE(is_discerning(*type_, n)) << GetParam().type_name << " n=" << n;
+  if (recording(n)) {
+    EXPECT_TRUE(discerning(n)) << GetParam().type_name << " n=" << n;
   }
 }
 
 TEST_P(Figure1Test, Observation6RecordingIsDownwardClosed) {
   const int n = GetParam().n;
-  if (n >= 3 && is_recording(*type_, n)) {
-    EXPECT_TRUE(is_recording(*type_, n - 1)) << GetParam().type_name << " n=" << n;
+  if (n >= 3 && recording(n)) {
+    EXPECT_TRUE(recording(n - 1)) << GetParam().type_name << " n=" << n;
   }
 }
 
 TEST_P(Figure1Test, DiscerningIsDownwardClosed) {
   const int n = GetParam().n;
-  if (n >= 3 && is_discerning(*type_, n)) {
-    EXPECT_TRUE(is_discerning(*type_, n - 1)) << GetParam().type_name << " n=" << n;
+  if (n >= 3 && discerning(n)) {
+    EXPECT_TRUE(discerning(n - 1)) << GetParam().type_name << " n=" << n;
   }
 }
 
 TEST_P(Figure1Test, Theorem16DiscerningImpliesRecordingTwoBelow) {
   const int n = GetParam().n;
-  if (n >= 4 && is_discerning(*type_, n)) {
-    EXPECT_TRUE(is_recording(*type_, n - 2)) << GetParam().type_name << " n=" << n;
+  if (n >= 4 && discerning(n)) {
+    EXPECT_TRUE(recording(n - 2)) << GetParam().type_name << " n=" << n;
   }
 }
 
 TEST_P(Figure1Test, Proposition18ThreeDiscerningImpliesTwoRecording) {
   if (GetParam().n != 3) GTEST_SKIP();
-  if (is_discerning(*type_, 3)) {
-    EXPECT_TRUE(is_recording(*type_, 2)) << GetParam().type_name;
+  if (discerning(3)) {
+    EXPECT_TRUE(recording(2)) << GetParam().type_name;
   }
 }
 

@@ -133,6 +133,10 @@ struct BrokenConsensus {
     return sim::StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 check::CheckRequest broken_request() {
@@ -167,15 +171,12 @@ void expect_exhaustive_contract(const check::CheckReport& report) {
                 counter_value(m, "engine.violation_edges") +
                 counter_value(m, "engine.orbit_skipped") + report.stats.visited,
             report.stats.transitions);
-  if (report.stats.compact) {
-    EXPECT_EQ(counter_value(m, "store.nodes"), report.stats.store.nodes);
-    EXPECT_EQ(counter_value(m, "store.value_bytes"), report.stats.store.value_bytes);
-    EXPECT_EQ(counter_value(m, "store.encodes"), report.stats.store.encodes);
-    EXPECT_EQ(counter_value(m, "store.canonical_hits"),
-              report.stats.store.canonical_hits);
-    // The store interns the root before exploration counts it as visited.
-    EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
-  }
+  EXPECT_EQ(counter_value(m, "store.nodes"), report.stats.store.nodes);
+  EXPECT_EQ(counter_value(m, "store.value_bytes"), report.stats.store.value_bytes);
+  EXPECT_EQ(counter_value(m, "store.encodes"), report.stats.store.encodes);
+  EXPECT_EQ(counter_value(m, "store.canonical_hits"), report.stats.store.canonical_hits);
+  // The store interns the root before exploration counts it as visited.
+  EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
 }
 
 check::CheckReport run_with_registry(check::CheckRequest request,

@@ -23,6 +23,10 @@ struct BrokenConsensus {
     return StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(pc); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    pc = static_cast<int>(data[0]);
+    return 1;
+  }
 };
 
 // Correct one-shot "consensus" for any number of processes using a single
@@ -36,6 +40,7 @@ struct ConstantDecider {
     return StepResult::decided(value);
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(0); }
+  std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
 };
 
 TEST(ExplorerTest, FindsAgreementViolation) {
@@ -94,6 +99,10 @@ TEST(ExplorerTest, WaitFreedomBoundFlagsLoopers) {
       return StepResult::running();
     }
     void encode(std::vector<typesys::Value>& out) const { out.push_back(count); }
+    std::size_t decode(const typesys::Value* data, std::size_t) {
+      count = static_cast<long>(data[0]);
+      return 1;
+    }
   };
   Memory memory;
   const RegId reg = memory.add_register();

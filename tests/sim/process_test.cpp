@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace rcons::sim {
 namespace {
 
@@ -21,7 +23,21 @@ struct CountingProgram {
     return StepResult::decided(memory.read(reg));
   }
   void encode(std::vector<typesys::Value>& out) const { out.push_back(steps_done); }
+  std::size_t decode(const typesys::Value* data, std::size_t) {
+    steps_done = static_cast<int>(data[0]);
+    return 1;
+  }
 };
+
+// decode() is part of the program concept: a step machine without it cannot
+// become a Process.
+struct NoDecodeProgram {
+  StepResult step(Memory&) { return StepResult::running(); }
+  void encode(std::vector<typesys::Value>&) const {}
+};
+static_assert(Program<CountingProgram>);
+static_assert(!Program<NoDecodeProgram>);
+static_assert(!std::is_constructible_v<Process, NoDecodeProgram>);
 
 TEST(ProcessTest, RunsToDecision) {
   Memory memory;

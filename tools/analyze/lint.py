@@ -27,6 +27,9 @@ documented invariants (see README "Correctness tooling"):
                        RCONS_DCHECK / RCONS_UNREACHABLE.
   include-hygiene      headers carry an RCONS_*_HPP include guard; no
                        `using namespace std`.
+  doc-sync             every src/-relative path the README architecture
+                       table (the `| piece | role |` table) names exists,
+                       and every src/engine/*.hpp is named there.
 
 Allow-annotation grammar (reason is REQUIRED — "zero unexplained allows"):
 
@@ -59,6 +62,7 @@ RULES = {
     "obs-taxonomy-sync": "metric/span literals match the obs/session.cpp taxonomy",
     "assert-discipline": "bare assert(/abort( outside util/assert.hpp",
     "include-hygiene": "RCONS include guards; no `using namespace std`",
+    "doc-sync": "README architecture table matches the src/engine headers",
 }
 
 # Internal meta-rules (not suppressible, not listed in fixtures).
@@ -104,6 +108,10 @@ AUDITED_ENUMS = {
 }
 
 TAXONOMY_FILE = "src/obs/session.cpp"
+
+README_FILE = "README.md"
+ARCH_TABLE_HEADER_RE = re.compile(r"^\|\s*piece\s*\|\s*role\s*\|\s*$")
+DOC_SYNC_DIR = "src/engine"
 METRIC_PREFIXES = ("engine", "check", "random", "replay", "portfolio", "store")
 
 ATOMIC_CALL_RE = re.compile(
@@ -489,6 +497,58 @@ def check_obs_taxonomy(root, files, findings):
                     'in src/ (emit it, delete it, or mark the doc "reserved: ...")'))
 
 
+def expand_braces(path):
+    """engine/node_store.{hpp,cpp} -> [engine/node_store.hpp, engine/node_store.cpp]."""
+    m = re.search(r"\{([^{}]*)\}", path)
+    if m is None:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out.extend(expand_braces(path[:m.start()] + alt.strip() + path[m.end():]))
+    return out
+
+
+def check_doc_sync(root, findings):
+    readme_path = os.path.join(root, README_FILE)
+    if not os.path.isfile(readme_path):
+        return  # tree without a README (e.g. a fixture for other rules)
+    with open(readme_path, encoding="utf-8", errors="replace") as f:
+        lines = f.read().splitlines()
+    header = next((i for i, line in enumerate(lines) if ARCH_TABLE_HEADER_RE.match(line)),
+                  None)
+    if header is None:
+        findings.append(
+            Finding(README_FILE, 1, "doc-sync",
+                    "README has no architecture table (a `| piece | role |` header)"))
+        return
+
+    named = set()
+    for i in range(header + 1, len(lines)):
+        line = lines[i]
+        if not line.startswith("|"):
+            break
+        first_cell = line.split("|")[1]
+        for token in re.findall(r"`([^`]+)`", first_cell):
+            for rel in expand_braces(token.strip()):
+                named.add(rel)
+                if not os.path.isfile(os.path.join(root, "src", rel)):
+                    findings.append(
+                        Finding(README_FILE, i + 1, "doc-sync",
+                                f"architecture table names src/{rel}, which does "
+                                "not exist"))
+
+    doc_dir = os.path.join(root, DOC_SYNC_DIR)
+    if not os.path.isdir(doc_dir):
+        return
+    prefix = DOC_SYNC_DIR[len("src/"):]
+    for name in sorted(os.listdir(doc_dir)):
+        rel = f"{prefix}/{name}"
+        if name.endswith(".hpp") and rel not in named:
+            findings.append(
+                Finding(README_FILE, header + 1, "doc-sync",
+                        f"src/{rel} is missing from the architecture table"))
+
+
 BARE_ASSERT_RE = re.compile(r"(?:^|[^_\w.])assert\s*\(")
 ABORT_RE = re.compile(r"(?:^|[^_\w:.])(?:std::\s*)?abort\s*\(")
 STD_ABORT_RE = re.compile(r"std::\s*abort\s*\(")
@@ -597,6 +657,8 @@ def run_lint(root, scan_paths, selected_rules):
             check_include_hygiene(sf, findings)
     if "obs-taxonomy-sync" in selected_rules:
         check_obs_taxonomy(root, files, findings)
+    if "doc-sync" in selected_rules:
+        check_doc_sync(root, findings)
     for sf in files:
         check_allow_annotations(sf, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
