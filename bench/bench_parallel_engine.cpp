@@ -282,8 +282,9 @@ int main(int argc, char** argv) {
            sequential.seconds / parallel.seconds);
     }
 
-    // What does kAuto do with this instance? (Probe + escalation included in
-    // its wall time.)
+    // What does kAuto do with this instance? (Its sequential phase and, on
+    // instances past sequential_limit, the switch to all workers are included
+    // in its wall time; no state is explored twice.)
     const RunOutcome automatic = timed(instance, check::Strategy::kAuto, 0, repeats);
     if (automatic.clean != sequential.clean ||
         automatic.visited != sequential.visited) {

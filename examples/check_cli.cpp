@@ -40,8 +40,8 @@
 // every N further visited states; --resume=F seeds the run from F (the
 // scenario line and config hash must match, else exit 2), while
 // --resume-or-fresh=F falls back to a fresh run when F is missing or corrupt.
-// Checkpointing needs a single-scenario spec file and an exhaustive parallel
-// strategy (auto/bfs). --fault-inject=PLAN arms the deterministic fault
+// Checkpointing needs a single-scenario spec file and a draining exhaustive
+// strategy (auto/bfs; a checkpointing run skips the sequential DFS phase). --fault-inject=PLAN arms the deterministic fault
 // harness (engine/fault_inject.hpp: alloc|stall|stop|die|trunc at
 // batch|intern|ckpt-write).
 //
@@ -351,8 +351,8 @@ int run_spec_file(const CliOptions& options, obs::Hooks hooks) {
     }
     if (options.strategy != check::Strategy::kAuto &&
         options.strategy != check::Strategy::kParallelBFS) {
-      std::cerr << "checkpoint/resume needs --strategy=auto or bfs (the "
-                   "parallel engine owns the checkpoint format)\n";
+      std::cerr << "checkpoint/resume needs --strategy=auto or bfs (a "
+                   "checkpointing run has no sequential DFS phase)\n";
       return 2;
     }
   }

@@ -5,7 +5,6 @@
 
 #include "engine/parallel_explorer.hpp"
 #include "obs/trace.hpp"
-#include "sim/explorer.hpp"
 #include "sim/random_runner.hpp"
 #include "sim/replay.hpp"
 #include "util/assert.hpp"
@@ -16,8 +15,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-sim::ExplorerConfig explorer_config(const CheckRequest& request) {
-  sim::ExplorerConfig config;
+// Every exhaustive strategy is one engine run; they differ only in how many
+// states worker 0 explores alone, depth-first, before the others start.
+CheckReport run_exhaustive(const CheckRequest& request, std::uint64_t sequential_limit,
+                           int num_threads) {
+  engine::ParallelExplorerConfig config;
   static_cast<Budget&>(config) = request.budget;
   config.properties = request.system.properties;
   config.symmetry_classes = request.system.symmetry_classes;
@@ -29,44 +31,20 @@ sim::ExplorerConfig explorer_config(const CheckRequest& request) {
   config.checkpoint_label = request.checkpoint_label;
   config.resume = request.resume;
   config.fault = request.fault;
-  return config;
-}
-
-CheckReport run_sequential(const CheckRequest& request, std::uint64_t max_visited,
-                           const char* span_name = "explore") {
-  sim::ExplorerConfig config = explorer_config(request);
-  config.max_visited = static_cast<std::int64_t>(max_visited);
-  sim::Explorer explorer(request.system.memory, request.system.processes, config);
-  CheckReport report;
-  report.strategy = Strategy::kSequentialDFS;
-  {
-    obs::Span span(request.obs.tracer, 0, span_name);
-    report.violation = explorer.run();
-  }
-  report.stats = explorer.stats();
-  report.threads_used = 1;
-  report.clean = !report.violation.has_value();
-  report.complete = !report.stats.truncated;
-  return report;
-}
-
-CheckReport run_parallel(const CheckRequest& request,
-                         std::uint64_t expected_states = 0) {
-  engine::ParallelExplorerConfig config;
-  static_cast<sim::ExplorerConfig&>(config) = explorer_config(request);
-  config.num_threads = request.num_threads;
+  config.num_threads = num_threads;
   config.shard_bits = request.shard_bits;
-  config.expected_states = expected_states;
+  config.sequential_limit = sequential_limit;
   engine::ParallelExplorer explorer(request.system.memory, request.system.processes,
                                     config);
   CheckReport report;
-  report.strategy = Strategy::kParallelBFS;
   {
     obs::Span span(request.obs.tracer, 0, "explore");
     report.violation = explorer.run();
   }
+  const bool sequential = explorer.stayed_sequential();
+  report.strategy = sequential ? Strategy::kSequentialDFS : Strategy::kParallelBFS;
   report.stats = explorer.stats();
-  report.threads_used = explorer.num_threads();
+  report.threads_used = sequential ? 1 : explorer.num_threads();
   report.clean = !report.violation.has_value();
   report.complete = !report.stats.truncated;
   return report;
@@ -127,40 +105,6 @@ CheckReport run_replay(const CheckRequest& request) {
   return report;
 }
 
-CheckReport run_auto(const CheckRequest& request) {
-  // Checkpointing and resume live in the parallel engine only — route
-  // straight there, skipping the probe (a probe would waste the budget of
-  // exactly the long runs checkpoints exist for).
-  if (!request.checkpoint_path.empty() || request.resume != nullptr) {
-    return run_parallel(request);
-  }
-  // Estimate the state-space size with a bounded sequential probe: explore at
-  // most `auto_probe_limit` states. A probe that finishes (verdict, clean or
-  // not) IS the sequential check of a small instance, so return it directly;
-  // a truncated probe means the space is large — hand the full budget to the
-  // parallel engine.
-  const std::uint64_t probe_limit =
-      request.auto_probe_limit < request.budget.visited_cap()
-          ? request.auto_probe_limit
-          : request.budget.visited_cap();
-  CheckReport probe = run_sequential(request, probe_limit, "probe");
-  if (!probe.stats.truncated || probe_limit == request.budget.visited_cap()) {
-    return probe;  // small instance, or the real budget was the probe budget
-  }
-  if (request.obs.tracer != nullptr) request.obs.tracer->instant(0, "auto_select");
-  if (request.obs.metrics != nullptr) {
-    // Keep the probe's count (it is real signal about the instance) but clear
-    // its engine/store totals so the escalated run's counters match the
-    // winning backend's ExplorerStats exactly.
-    request.obs.metrics->counter("check.probe_visited").add(0, probe.stats.visited);
-    request.obs.metrics->reset("engine.");
-    request.obs.metrics->reset("store.");
-  }
-  // The probe's visited count is a lower bound on the state space — enough
-  // signal for the engine to auto-tune shard_bits (engine::pick_shard_bits).
-  return run_parallel(request, probe.stats.visited);
-}
-
 }  // namespace
 
 const char* strategy_name(Strategy strategy) {
@@ -188,13 +132,13 @@ CheckReport check(CheckRequest request) {
     obs::Span span(request.obs.tracer, 0, "check");
     switch (request.strategy) {
       case Strategy::kAuto:
-        report = run_auto(request);
+        report = run_exhaustive(request, request.sequential_limit, request.num_threads);
         break;
       case Strategy::kSequentialDFS:
-        report = run_sequential(request, request.budget.max_visited);
+        report = run_exhaustive(request, engine::kSequentialOnly, 1);
         break;
       case Strategy::kParallelBFS:
-        report = run_parallel(request);
+        report = run_exhaustive(request, 0, request.num_threads);
         break;
       case Strategy::kRandomized:
         report = run_randomized(request);

@@ -1,5 +1,5 @@
-// The unified checking facade: one entry point over all four execution
-// backends.
+// The unified checking facade: one entry point over the three execution
+// backends (the exhaustive engine, the random runner, scripted replay).
 //
 //   CheckRequest  = ScenarioSystem (what to check) + Budget (how hard / what
 //                   counts as correct) + Strategy (which backend)
@@ -7,21 +7,25 @@
 //   CheckReport   = merged superset of the per-backend reports, tagged with
 //                   the strategy actually used and the wall time
 //
-// Strategies:
-//   kSequentialDFS — sim::Explorer. Deterministic first-violation DFS; the
-//                    right tool when a test pins a specific counterexample.
-//   kParallelBFS   — engine::ParallelExplorer. Same deduplicated graph, all
-//                    cores; reports the lexicographically lowest violation.
+// Strategies (the three exhaustive ones are one engine::ParallelExplorer run
+// each, differing in how long its sequential phase lasts):
+//   kSequentialDFS — the sequential phase alone: one worker, deterministic
+//                    first-violation DFS; the right tool when a test pins a
+//                    specific counterexample.
+//   kParallelBFS   — no sequential phase: all workers from the root drain the
+//                    deduplicated graph and report the lexicographically
+//                    lowest violation.
 //   kRandomized    — sim::run_random, `runs` seeded executions (seed, seed+1,
 //                    ...). Sampling, not proof: `complete` stays false.
 //   kReplay        — sim::replay of `schedule`. Deterministic re-execution of
 //                    one schedule — e.g. a Violation::schedule from any other
 //                    strategy.
-//   kAuto          — estimates the state-space size with a bounded sequential
-//                    probe (up to `auto_probe_limit` states). If the probe
-//                    finishes, the instance was small and the probe's verdict
-//                    is returned as kSequentialDFS; otherwise the state space
-//                    is large and the check re-runs on the parallel engine.
+//   kAuto          — the DFS for the first `sequential_limit` states, then
+//                    the other workers join on the same store and frontier.
+//                    Small instances, and violating ones whose DFS meets a
+//                    violation within the limit, finish inside the DFS and
+//                    report as kSequentialDFS; the rest report as
+//                    kParallelBFS, with no state explored twice.
 //
 // Every violation carries its typed schedule, so a counterexample found by
 // any strategy can be handed back to check() with kReplay (or sim::replay
@@ -86,13 +90,12 @@ struct CheckRequest {
   Budget budget;  // how hard to try; system.properties says what "correct" means
   Strategy strategy = Strategy::kAuto;
 
-  // kAuto: state spaces the bounded sequential probe fully explores within
-  // this many states stay sequential; larger ones go to the parallel engine.
-  std::uint64_t auto_probe_limit = 200'000;
+  // kAuto: states explored depth-first by one worker before the rest start.
+  std::uint64_t sequential_limit = 200'000;
 
-  // kParallelBFS (and the kAuto escalation path):
+  // kParallelBFS and kAuto (kSequentialDFS runs one worker):
   int num_threads = 0;  // 0 = hardware concurrency
-  int shard_bits = -1;  // -1 = auto-tune from thread count and probe size
+  int shard_bits = -1;  // -1 = auto-tune from thread count and max_visited
 
   // kRandomized:
   std::uint64_t seed = 1;
@@ -104,9 +107,9 @@ struct CheckRequest {
   std::vector<sim::ScheduleEvent> schedule;
 
   // Robustness layer (exhaustive strategies; see sim/explorer_config.hpp for
-  // the field contracts). Durable checkpoints and resume live in the parallel
-  // engine only, so kAuto routes straight to the engine —
-  // no probe — whenever checkpoint_path or resume is set. The budget's
+  // the field contracts). A run with checkpoint_path or resume set skips the
+  // sequential phase — the checkpoint format has no DFS continuations — so
+  // every exhaustive strategy then drains the graph. The budget's
   // time_limit_ms / mem_limit_mb ride along inside `budget`.
   int sentinel_interval_ms = 50;
   int watchdog_stall_intervals = 0;
@@ -121,10 +124,7 @@ struct CheckRequest {
   // taxonomy (obs/session.cpp lists it), a tracer receives phase and worker
   // spans. Null members (the default) disable the instrumentation. The
   // registry is not reset by check() — callers sharing one registry across
-  // checks reset between them; the kAuto escalation path does reset the
-  // engine.* and store.* prefixes so the winning backend's totals are not
-  // polluted by the probe's (the probe's count survives as
-  // check.probe_visited).
+  // checks reset between them.
   obs::Hooks obs;
 };
 
@@ -140,10 +140,10 @@ struct CheckReport {
   // node, canonicalization hit rate.
   sim::ExplorerStats stats;
 
-  // Worker threads the executed backend actually resolved and ran with:
-  // 1 for the sequential strategies (and the kAuto probe verdict), the
-  // engine's resolved count — request.num_threads or hardware concurrency —
-  // for kParallelBFS and the kAuto escalation. 0 for non-exhaustive
+  // Worker threads the executed backend actually ran with: 1 when the run
+  // ended in the sequential phase (kSequentialDFS, and kAuto on small or
+  // violating instances), otherwise the engine's resolved count —
+  // request.num_threads or hardware concurrency. 0 for non-exhaustive
   // strategies. Benchmarks report this, never the requested number.
   int threads_used = 0;
 

@@ -51,6 +51,7 @@
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -166,6 +167,24 @@ class CasTable {
 
   std::size_t capacity() const {
     return live_.load(std::memory_order_acquire)->capacity;
+  }
+
+  // Frees the sealed arrays whose migration sweep has finished (those no
+  // longer reachable from the live array); they otherwise stay allocated
+  // until destruction. Caller contract: no concurrent operations — a
+  // lookup that loaded a `prev` pointer before the sweep detached it may
+  // still be probing the array.
+  void release_retired() {
+    // rcons-lint: allow(hot-path-no-mutex) quiescent maintenance, never per-insert
+    std::lock_guard<std::mutex> lock(growth_mu_);
+    std::vector<const Array*> chain;
+    for (const Array* a = live_.load(std::memory_order_acquire); a != nullptr;
+         a = a->prev.load(std::memory_order_acquire)) {
+      chain.push_back(a);
+    }
+    std::erase_if(arrays_, [&](const std::unique_ptr<Array>& array) {
+      return std::find(chain.begin(), chain.end(), array.get()) == chain.end();
+    });
   }
 
   // Quiescent iteration for checkpointing: visits every PUBLISHED slot of

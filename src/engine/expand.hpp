@@ -1,6 +1,5 @@
-// Node-expansion core shared by the sequential `sim::Explorer` and the
+// Node-expansion core of `engine::ParallelExplorer`.
 // rcons-lint: hot-path
-// parallel `engine::ParallelExplorer`.
 //
 // A `Node` is one deduplicatable global state: shared memory, every process's
 // local step machine, the per-process decided/steps-in-run bookkeeping, the
@@ -13,9 +12,9 @@
 // helpers in sim/properties.hpp, with no virtual dispatch or allocation on
 // the hot path.
 //
-// Keeping this logic in one place is what makes the two explorers provably
-// explore the same deduplicated graph: they differ only in traversal order
-// and in how they schedule work.
+// Keeping this logic apart from the traversal is what lets the test oracle
+// (tests/support/reference_explorer.hpp) explore the same deduplicated graph
+// with none of the engine's scheduling, dedup tables, or threads.
 #ifndef RCONS_ENGINE_EXPAND_HPP
 #define RCONS_ENGINE_EXPAND_HPP
 
@@ -71,10 +70,10 @@ Node make_root(sim::Memory initial, std::vector<sim::Process> processes,
                const sim::PropertySet& properties = {});
 
 // Enumerates the events applicable at `node`, in the canonical order the
-// sequential explorer uses: step(p0) < step(p1) < ... < crash moves. Crash
-// placements that only burn budget without changing reachability (crashing a
-// process that has not taken a step in its current run, or an all-crash when
-// nobody has progressed) are pruned here, identically for both explorers.
+// engine's sequential phase expands them: step(p0) < step(p1) < ... < crash
+// moves. Crash placements that only burn budget without changing
+// reachability (crashing a process that has not taken a step in its current
+// run, or an all-crash when nobody has progressed) are pruned here.
 //
 // The orbit-aware overload additionally drops per-process events whose
 // process is marked in `orbit_skip` (a non-representative member of a
@@ -176,7 +175,7 @@ util::U128 fingerprint_values(const typesys::Value* data, std::size_t size);
 
 // Deterministic total order on events / event paths, matching the enumeration
 // order above. Used for "lowest trace wins" violation selection in the
-// parallel explorer.
+// engine's parallel phase.
 bool event_less(const Event& a, const Event& b);
 bool path_less(const std::vector<Event>& a, const std::vector<Event>& b);
 

@@ -33,7 +33,9 @@
 namespace rcons::engine {
 
 // One pending unit of work: a direct view of the node's interned record in
-// the NodeStore arena (stable, immutable — see NodeStore::Intern) plus a
+// the NodeStore arena (stable, immutable — see NodeStore::Intern), the index
+// of the first of its events still to expand (nonzero only for the
+// sequential phase's continuations, see engine/parallel_explorer.hpp), and a
 // backlink to the event path that first reached it (materialized only for
 // trace reporting). Trivially copyable — moving one through the frontier is
 // three register-width stores, and expansion decodes the record in place
@@ -41,8 +43,10 @@ namespace rcons::engine {
 struct WorkItem {
   const typesys::Value* record = nullptr;
   std::uint32_t length = 0;
+  std::uint32_t resume = 0;  // fits the padding after `length`
   const PathLink* tail = nullptr;
 };
+static_assert(sizeof(WorkItem) == 24, "WorkItem must stay three words");
 
 class Frontier {
  public:

@@ -256,6 +256,10 @@ class NodeStore {
   };
   LoadStats load_stats() const;
 
+  // Frees index arrays retired by finished growth sweeps
+  // (CasTable::release_retired). Caller contract: no concurrent intern().
+  void release_retired();
+
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
   // values (the slice intern() copied, excluding the length header). Caller

@@ -1,8 +1,7 @@
-// Resolved metric handles for the engine taxonomy (obs/session.hpp), shared
-// by the sequential and parallel explorers.
+// Resolved metric handles for the engine taxonomy (obs/session.hpp).
 //
 // Handles are resolved once per run (the only locking moment); after that
-// every update is a relaxed atomic on a lane-private cell. The explorers keep
+// every update is a relaxed atomic on a lane-private cell. The workers keep
 // counting in their plain per-worker locals exactly as before and call
 // flush() with the *delta since the last flush* at batch boundaries — so the
 // per-state hot path is untouched and a null registry (inactive cells) costs
@@ -70,7 +69,6 @@ struct ObsCells {
   obs::Gauge* frontier_pending = nullptr;
   obs::Gauge* visited_cap = nullptr;
   obs::Gauge* num_threads = nullptr;
-  obs::Gauge* expected_states = nullptr;
 
   obs::Histogram* batch_size = nullptr;
 
@@ -102,7 +100,6 @@ struct ObsCells {
     cells.frontier_pending = &registry->gauge("engine.frontier_pending");
     cells.visited_cap = &registry->gauge("engine.visited_cap");
     cells.num_threads = &registry->gauge("engine.num_threads");
-    cells.expected_states = &registry->gauge("engine.expected_states");
     cells.batch_size = &registry->histogram("engine.batch_size");
     return cells;
   }

@@ -30,6 +30,11 @@ constexpr std::size_t kMinPopBatch = 4;
 constexpr std::size_t kInitPopBatch = 16;
 constexpr std::size_t kMaxPopBatch = 128;
 
+// The sequential phase pops one item at a time; for observability it groups
+// items into batches of at least this many transitions, so metric flushes
+// and expand_batch spans stay off its per-item path.
+constexpr std::uint64_t kSequentialBatchTransitions = 1024;
+
 // Per-worker recently-inserted fingerprint cache: direct-mapped, fixed size.
 // A hit proves the fingerprint is already interned (everything remembered
 // went through the store first), so the shard lock + table probe can be
@@ -81,28 +86,18 @@ ParallelExplorer::ParallelExplorer(sim::Memory initial,
     num_threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads_ <= 0) num_threads_ = 1;
   }
-  if (config_.shard_bits >= 0) {
-    shard_bits_ = config_.shard_bits;
-  } else {
-    std::uint64_t expected = config_.expected_states != 0 ? config_.expected_states
-                                                          : config_.visited_cap();
-    if (expected > config_.visited_cap()) expected = config_.visited_cap();
-    shard_bits_ = pick_shard_bits(num_threads_, expected);
-  }
+  shard_bits_ = config_.shard_bits >= 0
+                    ? config_.shard_bits
+                    : pick_shard_bits(num_threads_, config_.visited_cap());
+  const bool checkpointing =
+      !config_.checkpoint_path.empty() || config_.resume != nullptr;
+  sequential_limit_ = checkpointing ? 0 : config_.sequential_limit;
 
   RCONS_ASSERT_MSG(config_.symmetry_classes.empty() ||
                        config_.symmetry_classes.size() == initial_processes_.size(),
                    "symmetry_classes must be empty or name every process");
   RCONS_ASSERT_MSG(config_.sentinel_interval_ms >= 1,
                    "sentinel_interval_ms must be >= 1");
-}
-
-std::uint64_t ParallelExplorer::presize_states() const {
-  // Only a real expectation (e.g. the kAuto probe's count) pre-commits table
-  // memory; max_visited defaults are far too pessimistic to allocate for.
-  std::uint64_t expected = config_.expected_states;
-  if (expected > config_.visited_cap()) expected = config_.visited_cap();
-  return expected;
 }
 
 void ParallelExplorer::offer_violation(std::vector<Event> path,
@@ -128,8 +123,8 @@ void ParallelExplorer::request_stop(sim::StopReason reason) {
 
 void ParallelExplorer::record_truncation(const PathLink* tail, const Event& event) {
   request_stop(sim::StopReason::kVisitedCap);
-  // Best-effort trace of where the budget ran out (like the sequential
-  // explorer's partial trace); first recorder wins.
+  // Best-effort trace of where the budget ran out (in the sequential phase,
+  // the DFS path to the state over the cap); first recorder wins.
   std::lock_guard<std::mutex> lock(violation_mu_);
   if (!truncated_.load(std::memory_order_relaxed)) {
     truncated_.store(true, std::memory_order_relaxed);
@@ -211,7 +206,7 @@ void ParallelExplorer::worker_pause_point() {
 }
 
 void ParallelExplorer::worker_exit(int id) {
-  heartbeats_[static_cast<std::size_t>(id)].beats.store(kHeartbeatExited,
+  heartbeats_[static_cast<std::size_t>(id)].beats.store(kHeartbeatIdle,
                                                         std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
@@ -269,7 +264,7 @@ void ParallelExplorer::monitor_loop(const std::function<bool()>& write_snapshot)
       for (int i = 0; i < num_threads_; ++i) {
         const auto slot = static_cast<std::size_t>(i);
         const std::uint64_t beats = heartbeats_[slot].beats.load(std::memory_order_relaxed);
-        if (beats == kHeartbeatExited) {
+        if (beats == kHeartbeatIdle) {
           stalled[slot] = 0;
           continue;
         }
@@ -353,7 +348,7 @@ void ParallelExplorer::flush_worker_obs(std::size_t lane, WorkerStats& last_flus
 
 void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
                               PathArena& arena, std::atomic<std::uint64_t>& pending,
-                              WorkerStats& local) {
+                              WorkerStats& local, bool sequential) {
   // Per-worker reusable state: one scratch node (restored from the parent's
   // record between successors — no Node copies), the record/event buffers,
   // the orbit mask, the popped and successor batches, and the
@@ -376,14 +371,17 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
   if (tracer != nullptr) {
     tracer->set_lane_name(trace_lane, "worker-" + std::to_string(id));
   }
-  WorkerStats flushed;
+  // Worker 0 enters the parallel phase with its sequential totals flushed.
+  WorkerStats flushed = local;
   const std::uint64_t worker_begin = tracer != nullptr ? tracer->now_us() : 0;
-  std::uint64_t batch_begin = 0;
-  std::size_t pop_batch = kInitPopBatch;
+  std::uint64_t batch_begin = worker_begin;
+  std::uint64_t batch_mark = local.transitions;  // sequential batch boundary
+  std::size_t pop_batch = sequential ? 1 : kInitPopBatch;
   std::uint64_t steal_mark = frontier.failed_steals();
   Heartbeat& heartbeat = heartbeats_[static_cast<std::size_t>(id)];
   std::uint64_t beats = 0;
   FaultPlan* const fault = config_.fault;
+  bool first_violation = false;  // the sequential phase's exit on a violation
 
   // Any allocation failure — fault-injected at the batch/intern sites or a
   // real bad_alloc out of index/arena/deque growth — lands here and becomes
@@ -396,22 +394,38 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         // pending-counted), so a checkpoint taken after the join still sees
         // every outstanding item; every worker leaves through this check, so
         // pending never reaching 0 cannot hang anyone.
-        if (stop_.load(std::memory_order_relaxed)) break;
+        if (stop_.load(std::memory_order_relaxed) || first_violation) break;
+        if (sequential &&
+            visited_count_.load(std::memory_order_relaxed) >= sequential_limit_) {
+          break;  // hand the DFS stack over to the parallel phase
+        }
         if (pause_flag_.load(std::memory_order_relaxed)) {
           worker_pause_point();
           continue;
         }
-        if (obs_cells_.active) {
+        if (sequential && local.transitions - batch_mark >= kSequentialBatchTransitions) {
+          batch_mark = local.transitions;
+          if (tracer != nullptr) {
+            const std::uint64_t now = tracer->now_us();
+            tracer->complete(trace_lane, "expand_batch", batch_begin, now);
+            batch_begin = now;
+          }
+          if (obs_cells_.active) {
+            flush_worker_obs(obs_lane, flushed, local,
+                             pending.load(std::memory_order_relaxed));
+          }
+        } else if (!sequential && obs_cells_.active) {
           flush_worker_obs(obs_lane, flushed, local,
                            pending.load(std::memory_order_relaxed));
         }
         // Adapt the batch size to observed steal pressure before popping.
         const std::uint64_t failed = frontier.failed_steals();
-        if (failed != steal_mark) {
+        if (!sequential && failed != steal_mark) {
           steal_mark = failed;
           pop_batch = pop_batch / 2 < kMinPopBatch ? kMinPopBatch : pop_batch / 2;
         }
-        const std::uint64_t pop_begin = tracer != nullptr ? tracer->now_us() : 0;
+        const std::uint64_t pop_begin =
+            tracer != nullptr && !sequential ? tracer->now_us() : 0;
         bool stole = false;
         const std::size_t got = frontier.pop_batch(id, batch, pop_batch, &stole);
         if (got == 0) {
@@ -423,10 +437,10 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
             fault->hit(FaultPlan::Site::kBatch) == FaultPlan::Action::kStop) {
           request_stop(sim::StopReason::kForcedStop);
         }
-        if (!stole && got == pop_batch && pop_batch < kMaxPopBatch) {
+        if (!sequential && !stole && got == pop_batch && pop_batch < kMaxPopBatch) {
           pop_batch *= 2;  // local deque runs deep, nobody is starving
         }
-        if (tracer != nullptr) {
+        if (tracer != nullptr && !sequential) {
           batch_begin = tracer->now_us();
           if (stole) tracer->complete(trace_lane, "steal", pop_begin, batch_begin);
         }
@@ -449,17 +463,21 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
       // Stabilizer orbits: enumerate one representative event per orbit of
       // interchangeable processes; the skipped siblings still count as
       // transitions (they are edges of the unreduced graph) plus
-      // orbit_skipped.
-      const std::uint64_t orbit_before = local.orbit_skipped;
+      // orbit_skipped. A continuation re-enumerates the same events; its
+      // skips and terminal status were counted when it was first expanded.
+      std::uint64_t orbit_skipped = 0;
       const int orbit_count =
           orbits ? codec.orbit_skip_mask(item.record, orbit_skip) : 0;
       enumerate_events(parent, config_, events,
-                       orbit_count > 0 ? &orbit_skip : nullptr,
-                       &local.orbit_skipped);
-      local.transitions += local.orbit_skipped - orbit_before;
-      if (is_terminal(parent)) local.terminal_states += 1;
+                       orbit_count > 0 ? &orbit_skip : nullptr, &orbit_skipped);
+      if (item.resume == 0) {
+        local.orbit_skipped += orbit_skipped;
+        local.transitions += orbit_skipped;
+        if (is_terminal(parent)) local.terminal_states += 1;
+      }
       successors.clear();
       bool incomplete = false;
+      bool continued = false;  // a continuation took over the item's pending slot
       // Codec header: record[1] counts the distinct outputs so far.
       const auto parent_decisions = static_cast<std::size_t>(item.record[1]);
 
@@ -468,7 +486,8 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
       // plus exactly one process (or all of them after a crash-all). restore
       // re-decodes just that — one program decode per successor instead of n.
       int dirty = NodeCodec::kDirtyNone;
-      for (const Event& event : events) {
+      for (std::uint32_t i = item.resume; i < events.size(); ++i) {
+        const Event& event = events[i];
         if (stop_.load(std::memory_order_relaxed)) {
           incomplete = true;
           break;
@@ -484,6 +503,11 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
           std::vector<Event> path = materialize_path(item.tail);
           path.push_back(event);
           offer_violation(std::move(path), std::move(*broken));
+          if (sequential) {
+            first_violation = true;  // the DFS reports its first violation
+            incomplete = true;
+            break;
+          }
           continue;  // a violating edge is never expanded further
         }
         if (parent.decisions.size() > parent_decisions) local.decisions += 1;
@@ -522,18 +546,23 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
           incomplete = true;
           break;
         }
-        successors.push_back(
-            WorkItem{interned.record, interned.length, arena.add(event, item.tail)});
+        if (sequential && i + 1 < events.size()) {
+          // Depth-first: the rest of this expansion waits under the child.
+          successors.push_back(WorkItem{item.record, item.length, i + 1, item.tail});
+          continued = true;
+        }
+        successors.push_back(WorkItem{interned.record, interned.length, 0,
+                                      arena.add(event, item.tail)});
         local.allocations_avoided += 2;  // inline frontier item + arena link
+        if (sequential) break;
       }
 
       if (!successors.empty()) {
+        const std::size_t children = successors.size() - (continued ? 1 : 0);
         local.batches += 1;
-        local.batched_items += successors.size();
-        if (obs_cells_.active) {
-          obs_cells_.batch_size->record(obs_lane, successors.size());
-        }
-        pending.fetch_add(successors.size(), std::memory_order_release);
+        local.batched_items += children;
+        if (obs_cells_.active) obs_cells_.batch_size->record(obs_lane, children);
+        pending.fetch_add(children, std::memory_order_release);
         frontier.push_batch(id, successors);
         successors.clear();
       }
@@ -543,10 +572,10 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         // already-interned successors dedup away, so nothing is lost and
         // visited counts stay exact.
         frontier.push(id, item);
-      } else {
+      } else if (!continued) {
         pending.fetch_sub(1, std::memory_order_release);
       }
-      if (tracer != nullptr && batch.empty()) {
+      if (tracer != nullptr && !sequential && batch.empty()) {
         tracer->complete(trace_lane, "expand_batch", batch_begin, tracer->now_us());
       }
     }
@@ -572,9 +601,15 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
                      pending.load(std::memory_order_relaxed));
   }
   if (tracer != nullptr) {
-    tracer->complete(trace_lane, "worker", worker_begin, tracer->now_us());
+    const std::uint64_t now = tracer->now_us();
+    if (sequential) tracer->complete(trace_lane, "expand_batch", batch_begin, now);
+    tracer->complete(trace_lane, "worker", worker_begin, now);
   }
-  worker_exit(id);
+  if (sequential) {
+    heartbeat.beats.store(kHeartbeatIdle, std::memory_order_relaxed);
+  } else {
+    worker_exit(id);
+  }
 }
 
 std::optional<sim::Violation> ParallelExplorer::run() {
@@ -612,12 +647,11 @@ std::optional<sim::Violation> ParallelExplorer::run() {
     monitor_exit_ = false;
   }
 
+  stayed_sequential_ = false;
+
   obs_cells_ = ObsCells::resolve(config_.obs.metrics);
   if (obs_cells_.active) {
     obs_cells_.visited_cap->set(static_cast<std::int64_t>(config_.visited_cap()));
-    obs_cells_.num_threads->set(num_threads_);
-    obs_cells_.expected_states->set(
-        static_cast<std::int64_t>(config_.expected_states));
   }
 
   return explore();
@@ -625,7 +659,7 @@ std::optional<sim::Violation> ParallelExplorer::run() {
 
 std::optional<sim::Violation> ParallelExplorer::explore() {
   Frontier frontier(num_threads_);
-  NodeStore store(shard_bits_, presize_states(), num_threads_);
+  NodeStore store(shard_bits_, 0, num_threads_);
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
   std::atomic<std::uint64_t> pending{0};
   std::vector<WorkerStats> worker_stats(static_cast<std::size_t>(num_threads_));
@@ -677,13 +711,13 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
       const NodeStore::Intern& node = interned[ckpt.frontier[i]];
       pending.fetch_add(1, std::memory_order_release);
       frontier.push(static_cast<int>(i % static_cast<std::size_t>(num_threads_)),
-                    WorkItem{node.record, node.length, nullptr});
+                    WorkItem{node.record, node.length, 0, nullptr});
     }
   } else {
     const NodeStore::Intern interned =
         store.intern(root_encoded.fingerprint, root_record);
     pending.fetch_add(1, std::memory_order_release);
-    frontier.push(0, WorkItem{interned.record, interned.length, nullptr});
+    frontier.push(0, WorkItem{interned.record, interned.length, 0, nullptr});
     if (obs_cells_.active) {
       // The coordinator's root intern, on lane 0, so store.* totals match
       // store.stats() exactly (the workers account everything else live).
@@ -759,6 +793,10 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
                      "(pending != snapshot size)");
     data.frontier.reserve(items.size());
     for (const WorkItem& item : items) {
+      // Checkpointing runs start in the parallel phase, which never splits
+      // an expansion into continuations; the format stores whole nodes.
+      RCONS_DCHECK_MSG(item.resume == 0,
+                       "checkpoint frontier holds a partially expanded continuation");
       const auto it = record_index.find(item.record);
       RCONS_ASSERT_MSG(it != record_index.end(),
                        "frontier item missing from the node store");
@@ -790,16 +828,29 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     monitor = std::thread([this, snapshot_fn] { monitor_loop(snapshot_fn); });
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_threads_));
-  for (int id = 0; id < num_threads_; ++id) {
-    threads.emplace_back(
-        [this, id, &frontier, &store, &arenas, &pending, &worker_stats] {
-          worker(id, frontier, store, arenas[static_cast<std::size_t>(id)], pending,
-                 worker_stats[static_cast<std::size_t>(id)]);
-        });
+  const auto run_worker = [&](int id, bool sequential) {
+    worker(id, frontier, store, arenas[static_cast<std::size_t>(id)], pending,
+           worker_stats[static_cast<std::size_t>(id)], sequential);
+  };
+  if (sequential_limit_ > 0) {
+    if (obs_cells_.active) obs_cells_.num_threads->set(1);
+    run_worker(0, /*sequential=*/true);
+    stayed_sequential_ = stop_.load(std::memory_order_relaxed) || has_violation_ ||
+                         pending.load(std::memory_order_relaxed) == 0;
+    // Worker 0 returned and nobody else has started: the store is quiescent,
+    // so the index arrays its growth retired can go before the parallel
+    // phase grows the index further.
+    if (!stayed_sequential_) store.release_retired();
   }
-  for (std::thread& thread : threads) thread.join();
+  if (!stayed_sequential_) {
+    if (obs_cells_.active) obs_cells_.num_threads->set(num_threads_);
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(num_threads_));
+    for (int id = 0; id < num_threads_; ++id) {
+      threads.emplace_back([&run_worker, id] { run_worker(id, /*sequential=*/false); });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
   stop_monitor(monitor);
 
   // Final checkpoint at exit — complete, truncated, or violating alike. The
@@ -825,8 +876,8 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
 
 std::optional<sim::Violation> ParallelExplorer::finish(
     const std::vector<WorkerStats>& worker_stats) {
-  // Like the sequential explorer, `visited` counts the states inserted during
-  // expansion (the root insert is not counted).
+  // `visited` counts the states inserted during expansion (the root insert is
+  // not counted).
   stats_.visited = visited_count_.load(std::memory_order_relaxed);
   stats_.stop_reason =
       static_cast<sim::StopReason>(stop_reason_.load(std::memory_order_relaxed));

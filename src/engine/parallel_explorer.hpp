@@ -1,19 +1,33 @@
-// Multi-threaded exhaustive exploration with the same contract as
-// `sim::Explorer`.
+// Exhaustive exploration of the deduplicated execution graph — the one
+// traversal behind every exhaustive check strategy.
 //
-// Workers expand nodes taken from a work-stealing frontier and deduplicate
-// through a sharded store; each reachable global state is claimed by exactly
-// one worker and expanded exactly once. On runs that complete (no max_visited
-// truncation) this makes the *verdict* (violation-or-clean), the
-// visited/transition/decision/terminal counts, and the set of violating
-// edges all independent of scheduling. Truncated runs stop racily: counts
-// then vary run to run and `visited` can overshoot max_visited by up to one
-// state per worker. What a race can change on complete runs is which path
-// first claims a state, and therefore the trace prefix attached to a
-// violation; the engine reports the lexicographically lowest trace among
-// every violation discovered (same event order the sequential DFS uses),
-// which pins the report for algorithms whose local state advances every
-// step — all of the repository's real ones.
+// A run has two phases over one NodeStore and one frontier:
+//
+//   * Sequential phase. Worker 0 runs alone on the calling thread and expands
+//     in recursive-DFS order: when an event interns a new child, the parent
+//     is pushed back as a continuation (WorkItem::resume names its next
+//     event) under the child, and the child is expanded next. The phase
+//     stops at the first violation, so its report is the first violating
+//     path in event order (step(p0) < step(p1) < ... < crash moves).
+//   * Parallel phase. Once `sequential_limit` states are visited, the other
+//     workers start and steal from worker 0's deque (continuations at the
+//     front root the largest unexplored subtrees). The run then drains the
+//     frontier and reports the lexicographically lowest trace among every
+//     violation discovered. Nothing is re-explored across the switch.
+//
+// sequential_limit = 0 starts every worker at once (the check facade's
+// kParallelBFS); kSequentialOnly never starts them (kSequentialDFS). Runs that
+// checkpoint or resume always start in the parallel phase: the checkpoint
+// format has no continuations.
+//
+// Each reachable global state is claimed by exactly one worker and expanded
+// exactly once. On runs that complete (no truncation) the verdict
+// (violation-or-clean), the visited/transition/decision/terminal counts,
+// and the set of violating edges of a drained run are all independent of
+// scheduling. Truncated runs stop racily: counts then vary run to run and
+// `visited` can overshoot max_visited by up to one state per worker. What a
+// race can change on complete parallel runs is which path first claims a
+// state, and therefore the trace prefix attached to a violation.
 //
 // The hot path is allocation-free, batch-oriented, and mutex-free: frontier
 // items are stored inline and submitted/drained in batches
@@ -30,14 +44,8 @@
 // decodes into a reusable scratch node instead of cloning Memory + N Process
 // objects per successor (engine/node_store.hpp). Symmetry reduction
 // (ExplorerConfig::symmetry_classes) canonicalizes records before interning.
-// tests/engine/differential_test.cpp pins the explored graph against a
-// full-record reference explorer.
-//
-// Unlike the sequential explorer, which stops at the first violation its DFS
-// meets, the parallel engine keeps exploring until the frontier drains (or
-// `max_visited` truncates the search) and then reports the best violation.
-// On clean instances — the expensive case that motivates parallelism — the
-// two explorers do identical work.
+// tests/engine/differential_test.cpp pins the explored graph and the
+// sequential phase's report against a full-record reference explorer.
 #ifndef RCONS_ENGINE_PARALLEL_EXPLORER_HPP
 #define RCONS_ENGINE_PARALLEL_EXPLORER_HPP
 
@@ -68,20 +76,23 @@ struct ParallelExplorerConfig : sim::ExplorerConfig {
   int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
   int shard_bits = -1;  // -1 = auto via pick_shard_bits(); valid fixed: [0, 16]
 
-  // Hint for auto shard_bits and for pre-sizing the dedup tables: how many
-  // states the run is expected to visit (e.g. the kAuto probe's count).
-  // 0 = unknown, max_visited bounds it.
-  std::uint64_t expected_states = 0;
+  // States worker 0 visits alone, depth-first, before the other workers
+  // start (see the file comment). 0 = parallel from the root.
+  std::uint64_t sequential_limit = 0;
 };
+
+// sequential_limit that never starts the parallel phase.
+inline constexpr std::uint64_t kSequentialOnly = ~std::uint64_t{0};
 
 class ParallelExplorer {
  public:
   ParallelExplorer(sim::Memory initial, std::vector<sim::Process> processes,
                    ParallelExplorerConfig config);
 
-  // Explores the full (deduplicated) execution graph. Returns the lowest-
-  // trace violation found, or nullopt if every execution satisfies the
-  // properties. Callable repeatedly; each call restarts from the root.
+  // Explores the full (deduplicated) execution graph. Returns the first
+  // violation of the sequential phase, else the lowest-trace violation of the
+  // parallel phase, or nullopt if every execution satisfies the properties.
+  // Callable repeatedly; each call restarts from the root.
   std::optional<sim::Violation> run();
 
   const sim::ExplorerStats& stats() const { return stats_; }
@@ -93,6 +104,10 @@ class ParallelExplorer {
 
   int num_threads() const { return num_threads_; }
   int shard_bits() const { return shard_bits_; }
+
+  // Whether the last run() ended inside the sequential phase: worker 0 was
+  // the only worker, and a violation it reports is the first in DFS order.
+  bool stayed_sequential() const { return stayed_sequential_; }
 
   // Public (not private) so the contract test can violate it on purpose and
   // watch the DCHECK fire under -DRCONS_FORCE_DCHECK=ON.
@@ -180,12 +195,12 @@ class ParallelExplorer {
   void flush_worker_obs(std::size_t lane, WorkerStats& last_flushed,
                         const WorkerStats& local, std::uint64_t pending_now);
 
+  // One worker's loop. With `sequential` set it is the sequential phase:
+  // one item at a time in DFS order, returning at the first violation or
+  // once sequential_limit_ states are visited (pending work stays queued).
   void worker(int id, Frontier& frontier, NodeStore& store, PathArena& arena,
-              std::atomic<std::uint64_t>& pending, WorkerStats& local);
-
-  // Dedup-table pre-size for a run: the expectation hint clamped by
-  // max_visited (0 when unknown).
-  std::uint64_t presize_states() const;
+              std::atomic<std::uint64_t>& pending, WorkerStats& local,
+              bool sequential);
 
   void offer_violation(std::vector<Event> path, sim::PropertyViolation broken);
   void record_truncation(const PathLink* tail, const Event& event);
@@ -196,6 +211,8 @@ class ParallelExplorer {
   ParallelExplorerConfig config_;
   int num_threads_;
   int shard_bits_;
+  std::uint64_t sequential_limit_;  // 0 for checkpointing or resumed runs
+  bool stayed_sequential_ = false;
 
   sim::ExplorerStats stats_;
   NodeStore::LoadStats visited_stats_;
@@ -214,12 +231,13 @@ class ParallelExplorer {
   std::atomic<std::uint64_t> checkpoints_written_{0};
 
   // Per-worker progress heartbeats, bumped once per frontier item; the
-  // monitor's watchdog samples them per sentinel interval. kHeartbeatExited
-  // marks a worker that returned (never a stall).
+  // monitor's watchdog samples them per sentinel interval. kHeartbeatIdle
+  // marks a worker that is not running — not started yet (the sequential
+  // phase) or returned — and is never a stall.
+  static constexpr std::uint64_t kHeartbeatIdle = ~std::uint64_t{0};
   struct alignas(64) Heartbeat {
-    std::atomic<std::uint64_t> beats{0};
+    std::atomic<std::uint64_t> beats{kHeartbeatIdle};
   };
-  static constexpr std::uint64_t kHeartbeatExited = ~std::uint64_t{0};
   std::unique_ptr<Heartbeat[]> heartbeats_;
 
   // Pause barrier state (see pause_workers). pause_flag_ mirrors

@@ -1,7 +1,6 @@
 // Resource-sentinel primitives: a monotonic millisecond clock and the
-// process resident-set size. The parallel engine's monitor thread and the
-// sequential explorer's inline polls both read these; keeping the raw
-// plumbing here keeps /proc parsing out of the explorers.
+// process resident-set size, read by the engine's monitor thread. Keeping
+// the raw plumbing here keeps /proc parsing out of the explorer.
 #ifndef RCONS_ENGINE_SENTINEL_HPP
 #define RCONS_ENGINE_SENTINEL_HPP
 

@@ -168,8 +168,7 @@ class MetricsRegistry {
 
   // Zeroes every metric whose name starts with `prefix` (all of them when
   // empty). Metrics stay registered — handles remain valid. Used between
-  // checks sharing one registry, and by the kAuto escalation path so the
-  // winning backend's totals are not polluted by the probe's.
+  // checks sharing one registry.
   void reset(std::string_view prefix = {});
 
  private:

@@ -54,19 +54,17 @@ bool Session::finish(std::string* error) {
 
 const std::vector<NameDoc>& metric_names() {
   static const std::vector<NameDoc> kNames = {
-      {"check.probe_visited", "states the kAuto probe explored before escalating"},
       {"engine.batch_size", "histogram of successor batch sizes pushed per expansion"},
       {"engine.cas_retries", "lock-free slot claims lost to a racing worker and retried"},
       {"engine.decisions", "decide transitions taken (== ExplorerStats.decisions)"},
       {"engine.dedup_cache_hits", "duplicate probes answered by the per-worker cache"},
       {"engine.dedup_cache_probes", "lookups in the per-worker recently-inserted cache"},
       {"engine.duplicates", "successor states that were already visited"},
-      {"engine.expected_states", "gauge: pre-size hint handed to the dedup tables"},
       {"engine.frontier_batched_items", "items across those batches"},
       {"engine.frontier_batches", "successor batches submitted to the frontier"},
       {"engine.frontier_pending", "gauge: items queued or mid-expansion right now"},
       {"engine.migration_stripes", "table-growth stripes migrated cooperatively by workers"},
-      {"engine.num_threads", "gauge: resolved engine worker count"},
+      {"engine.num_threads", "gauge: workers running (1 in the sequential phase)"},
       {"engine.orbit_skipped", "orbit-equivalent sibling events skipped by symmetry"},
       {"engine.steals", "successful frontier batch steals"},
       {"engine.stolen_items", "items moved by those steals"},
@@ -96,20 +94,18 @@ const std::vector<NameDoc>& metric_names() {
 
 const std::vector<NameDoc>& span_names() {
   static const std::vector<NameDoc> kNames = {
-      {"auto_select", "instant: the kAuto probe-or-escalate decision"},
       {"check", "one check() call end-to-end"},
       {"expand_batch", "one popped batch expanded by an engine worker"},
       {"explore", "the exhaustive backend's full exploration"},
       {"minimize", "reserved: greedy schedule minimization of a violation"},
       {"portfolio_scenario", "one portfolio scenario end-to-end (': <name>' suffixed)"},
-      {"probe", "the kAuto bounded sequential probe"},
       {"random_run", "one seeded random execution"},
       {"rehash", "reserved: table growth publishes store.rehashes today"},
       {"replay", "scripted schedule replay"},
       {"spec_parse", "reserved: scenario spec file parse"},
       {"spill_candidate", "reserved for the out-of-core store (ROADMAP)"},
       {"steal", "a pop that came back with a victim's items (span covers the probe)"},
-      {"worker", "one engine worker thread within a run"},
+      {"worker", "one engine worker within a run phase (sequential or parallel)"},
   };
   return kNames;
 }

@@ -57,8 +57,7 @@ class Tracer {
   void complete(std::size_t lane, std::string name, std::uint64_t begin_us,
                 std::uint64_t end_us);
 
-  // Records an instant event (ph:"i") on `lane` — zero-duration markers like
-  // a successful steal or the kAuto escalation decision.
+  // Records an instant event (ph:"i") on `lane` — a zero-duration marker.
   void instant(std::size_t lane, std::string name);
 
   // Display name for the lane in trace viewers (thread_name metadata).

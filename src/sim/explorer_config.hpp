@@ -1,10 +1,8 @@
-// Shared contract of the exhaustive explorers (sequential `sim::Explorer` and
-// parallel `engine::ParallelExplorer`): the violation report and run
-// statistics. The tunable knobs live in `check::Budget` (check/budget.hpp),
-// which both explorer configs derive from so the fields cannot drift.
-//
-// These live in their own header so `engine/` can depend on the contract
-// without pulling in the sequential explorer (and vice versa).
+// Contract of exhaustive exploration (`engine::ParallelExplorer`): its
+// configuration, the violation report, and run statistics. The tunable knobs
+// live in `check::Budget` (check/budget.hpp), which ExplorerConfig derives
+// from so the facade and the engine cannot drift. The check facade reports
+// every backend's counterexample as a sim::Violation.
 #ifndef RCONS_SIM_EXPLORER_CONFIG_HPP
 #define RCONS_SIM_EXPLORER_CONFIG_HPP
 
@@ -38,7 +36,23 @@ enum class StopReason {
   kForcedStop,  // external cooperative stop (fault injection / harness)
 };
 
-const char* stop_reason_name(StopReason reason);
+inline const char* stop_reason_name(StopReason reason) {
+  switch (reason) {
+    case StopReason::kNone:
+      return "none";
+    case StopReason::kVisitedCap:
+      return "visited-cap";
+    case StopReason::kDeadline:
+      return "deadline";
+    case StopReason::kMemory:
+      return "memory";
+    case StopReason::kWatchdog:
+      return "watchdog";
+    case StopReason::kForcedStop:
+      return "forced-stop";
+  }
+  return "unknown";
+}
 
 // Historical spelling of the crash models; the definition now lives with the
 // rest of the shared budget in check/budget.hpp.
@@ -55,15 +69,15 @@ struct ExplorerConfig : check::Budget {
   // process i, where processes in the same class run *identical* programs
   // (same team, same operation, same input — e.g. same-team processes of the
   // Figure 2 algorithm). Empty disables symmetry reduction. When non-empty,
-  // the explorers canonicalize the per-process blocks of each node encoding
+  // the engine canonicalizes the per-process blocks of each node encoding
   // (sorting same-class blocks) before fingerprinting, so states that differ
   // only by permuting interchangeable processes deduplicate to one visited
   // node. Verdicts are unaffected; violation schedules are then valid up to a
   // class permutation and may not replay verbatim (see engine/node_store.hpp).
   std::vector<int> symmetry_classes;
 
-  // Observability sinks (obs/hooks.hpp): the metrics registry the explorers
-  // flush their counters into at batch boundaries and the tracer that
+  // Observability sinks (obs/hooks.hpp): the metrics registry the engine
+  // flushes its counters into at batch boundaries and the tracer that
   // receives worker spans. Null members (the default) disable the
   // corresponding instrumentation entirely — the hot loops keep counting in
   // their plain per-worker locals either way, so a disabled sink costs
@@ -72,10 +86,9 @@ struct ExplorerConfig : check::Budget {
 
   // --- robustness layer (engine/sentinel.hpp, engine/checkpoint.hpp) ------
 
-  // Resource-sentinel sampling period. The parallel engine runs a monitor
-  // thread at this cadence whenever a time/memory limit, the watchdog, or
-  // periodic checkpointing is enabled; the sequential explorer polls its
-  // limits inline at the same granularity as its obs flushes. Hot paths with
+  // Resource-sentinel sampling period. The engine runs a monitor thread at
+  // this cadence, through both of its phases, whenever a time/memory limit,
+  // the watchdog, or periodic checkpointing is enabled. Hot paths with
   // everything off never touch a clock.
   int sentinel_interval_ms = 50;
 
@@ -85,13 +98,13 @@ struct ExplorerConfig : check::Budget {
   // 0 disables the watchdog.
   int watchdog_stall_intervals = 0;
 
-  // Durable checkpoints (parallel engine only):
-  // when checkpoint_path is non-empty the run writes a final checkpoint at
-  // exit, plus an intermediate one each time `checkpoint_every` further
-  // states have been visited (0 = final only). `resume`, when non-null,
-  // seeds the run from a previously loaded checkpoint instead of the root;
-  // the caller must have validated the checkpoint's config hash
-  // (engine::checkpoint_config_hash).
+  // Durable checkpoints: when checkpoint_path is non-empty the run writes a
+  // final checkpoint at exit, plus an intermediate one each time
+  // `checkpoint_every` further states have been visited (0 = final only).
+  // `resume`, when non-null, seeds the run from a previously loaded
+  // checkpoint instead of the root; the caller must have validated the
+  // checkpoint's config hash (engine::checkpoint_config_hash). A run with
+  // either set skips the engine's sequential phase.
   std::string checkpoint_path;
   std::uint64_t checkpoint_every = 0;
   // Caller-chosen identity line stored in every checkpoint (the CLI uses the
@@ -124,7 +137,7 @@ struct Violation {
 };
 
 // Statistics of the interned node store (engine/node_store.hpp): the
-// explorers' one node representation and visited set.
+// engine's one node representation and visited set.
 struct NodeStoreStats {
   std::uint64_t nodes = 0;        // unique states interned (incl. the root)
   std::uint64_t value_bytes = 0;  // arena payload bytes across all records
@@ -143,10 +156,9 @@ struct NodeStoreStats {
 };
 
 // Per-state cost counters of the batched, allocation-free hot path
-// (engine/frontier.hpp, engine/cas_table.hpp, engine/path_arena.hpp). The
-// parallel engine fills all of them; the sequential explorer fills the
-// NodeStore index counters (probe lengths, growth epochs) and leaves the
-// frontier/arena/cache counters at zero.
+// (engine/frontier.hpp, engine/cas_table.hpp, engine/path_arena.hpp), filled
+// by every engine phase. In the sequential phase each expansion submits one
+// batch: the new child alone.
 struct HotPathStats {
   // Per-item heap allocations the pre-batching hot path would have made:
   // one `unique_ptr` wrapper per frontier item plus one `shared_ptr<PathLink>`

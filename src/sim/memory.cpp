@@ -29,7 +29,8 @@ void Memory::write(RegId reg, typesys::Value value) {
 typesys::Value Memory::apply(ObjId obj, typesys::OpId op) {
   RCONS_ASSERT(obj >= 0 && obj < num_objects());
   Object& object = objects_[static_cast<std::size_t>(obj)];
-  const auto step = object.cache->apply(object.state, op);
+  // Exploration workers step copies of one Memory on several threads.
+  const auto step = object.cache->apply_shared(object.state, op);
   object.state = step.next;
   return step.response;
 }

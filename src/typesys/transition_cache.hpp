@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -44,7 +45,15 @@ class TransitionCache {
   std::size_t discovered_states() const { return space_.size(); }
 
   // Applies candidate operation `op` to interned state `s` (memoized).
+  // Like every member but apply_shared(), for one thread at a time.
   Step apply(StateId s, OpId op);
+
+  // apply() for several threads at once: the exploration engine's workers
+  // step copies of one sim::Memory, whose objects share their cache.
+  // Repeats come from a per-thread front table; a lock is taken only for a
+  // transition the calling thread has not seen. No other member may run
+  // concurrently with it.
+  Step apply_shared(StateId s, OpId op);
 
  private:
   std::shared_ptr<const ObjectType> owner_;  // may be null (non-owning mode)
@@ -53,6 +62,10 @@ class TransitionCache {
   std::vector<Operation> ops_;
   std::vector<StateId> initial_states_;
   StateSpace space_;
+  // Never reused, so a per-thread front-table entry cannot outlive its cache
+  // and match a later one at the same address.
+  const std::uint64_t uid_;
+  std::mutex mu_;  // serializes apply_shared() callers over space_ and memo_
   std::unordered_map<std::uint64_t, Step> memo_;
 };
 

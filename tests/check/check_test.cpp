@@ -1,6 +1,6 @@
-// The unified facade: one check(CheckRequest) entry point must route to all
-// four backends, report the strategy it actually used, and produce verdicts
-// that agree across backends on the same system.
+// The unified facade: one check(CheckRequest) entry point must route every
+// strategy to its backend, report the strategy it actually used, and produce
+// verdicts that agree across strategies on the same system.
 #include "check/check.hpp"
 
 #include <gtest/gtest.h>
@@ -104,29 +104,39 @@ TEST(CheckTest, AutoStaysSequentialOnSmallStateSpaces) {
   EXPECT_TRUE(report.complete);
 }
 
-TEST(CheckTest, AutoEscalatesToParallelWhenProbeTruncates) {
-  // Force escalation by making the probe tiny: the full state space (a few
-  // thousand states) exceeds it, so the facade must re-run on the engine —
-  // and the engine must still deliver the complete verdict.
+TEST(CheckTest, AutoSwitchesToParallelAfterSequentialLimit) {
+  // A tiny sequential limit: the full state space (a few thousand states)
+  // exceeds it, so the other workers join mid-graph on the same store and
+  // frontier — and the run must still deliver the complete verdict with the
+  // sequential DFS's counts, interning no state twice.
   CheckRequest sequential_request = team_request("Sn(2)", 2, 3);
   sequential_request.strategy = Strategy::kSequentialDFS;
   const CheckReport sequential = check(std::move(sequential_request));
   ASSERT_GT(sequential.stats.visited, 100u);
+  EXPECT_EQ(sequential.threads_used, 1);
 
-  CheckRequest request = team_request("Sn(2)", 2, 3);
-  request.strategy = Strategy::kAuto;
-  request.auto_probe_limit = 100;
-  request.num_threads = 2;
-  const CheckReport report = check(std::move(request));
-  EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
-  EXPECT_TRUE(report.clean);
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.stats.visited, sequential.stats.visited);
+  for (const int threads : {2, 4}) {
+    CheckRequest request = team_request("Sn(2)", 2, 3);
+    request.strategy = Strategy::kAuto;
+    request.sequential_limit = 100;
+    request.num_threads = threads;
+    const CheckReport report = check(std::move(request));
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(report.strategy, Strategy::kParallelBFS);
+    EXPECT_EQ(report.threads_used, threads);
+    EXPECT_TRUE(report.clean);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.stats.visited, sequential.stats.visited);
+    EXPECT_EQ(report.stats.transitions, sequential.stats.transitions);
+    EXPECT_EQ(report.stats.decisions, sequential.stats.decisions);
+    EXPECT_EQ(report.stats.terminal_states, sequential.stats.terminal_states);
+    EXPECT_EQ(report.stats.store.nodes, report.stats.visited + 1);
+  }
 }
 
 TEST(CheckTest, AutoRespectsRealBudgetTruncation) {
-  // When max_visited itself is below the probe limit, a truncated probe IS
-  // the final answer (the engine would truncate too): no escalation.
+  // When max_visited itself is below the sequential limit, the DFS truncates
+  // before the other workers would start.
   CheckRequest request = team_request("Sn(3)", 3, 2);
   request.strategy = Strategy::kAuto;
   request.budget.max_visited = 50;

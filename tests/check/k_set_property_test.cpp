@@ -2,7 +2,7 @@
 // (examples/scenarios/k_set.spec): over the same weak type (Sn(2), 2- but not
 // 3-recording), the algo=k-set system is provably clean for
 // (2,3)-set agreement while its plain-consensus check violates agreement —
-// and all four execution backends (kSequentialDFS, kParallelBFS, kRandomized,
+// and all four non-auto strategies (kSequentialDFS, kParallelBFS, kRandomized,
 // kReplay) report that violation with the identical typed property.
 #include <gtest/gtest.h>
 

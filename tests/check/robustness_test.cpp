@@ -1,7 +1,7 @@
 // Resource sentinels and graceful truncation: every budget exhaustion —
 // visited cap (including the non-positive edge), wall clock, memory — comes
-// back as a typed truncated verdict with partial statistics, on both the
-// sequential and the parallel exhaustive backends. Never an abort, never an
+// back as a typed truncated verdict with partial statistics, in both engine
+// phases and across kAuto's switch between them. Never an abort, never an
 // empty report.
 #include "check/check.hpp"
 
@@ -28,8 +28,13 @@ CheckRequest request_for(const std::string& line, Strategy strategy) {
   request.strategy = strategy;
   request.num_threads = 4;
   request.sentinel_interval_ms = 5;
+  // kAuto switches phases early, so limits trip on either side of the switch.
+  request.sequential_limit = 100;
   return request;
 }
+
+constexpr Strategy kExhaustive[] = {Strategy::kSequentialDFS, Strategy::kParallelBFS,
+                                    Strategy::kAuto};
 
 const char* kSmall = "type=Sn(2) n=2 model=independent budget=2";
 const char* kLarge = "type=Sn(4) n=4 model=independent budget=2";
@@ -57,26 +62,36 @@ TEST(RobustnessTest, NonPositiveVisitedBudgetStillReturnsATypedVerdict) {
   // report must still be fully formed — typed reason, marker violation,
   // stats — not an empty or crashed run (Budget::visited_cap documents this).
   for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{-5}}) {
-    for (const Strategy strategy :
-         {Strategy::kSequentialDFS, Strategy::kParallelBFS}) {
+    for (const Strategy strategy : kExhaustive) {
       CheckRequest request = request_for(kSmall, strategy);
       request.budget.max_visited = cap;
       const CheckReport report = check(std::move(request));
-      SCOPED_TRACE("cap=" + std::to_string(cap));
+      SCOPED_TRACE("cap=" + std::to_string(cap) + " " + strategy_name(strategy));
       expect_typed_truncation(report, sim::StopReason::kVisitedCap);
     }
   }
 }
 
 TEST(RobustnessTest, VisitedCapTruncationIsTypedOnBothBackends) {
-  for (const Strategy strategy :
-       {Strategy::kSequentialDFS, Strategy::kParallelBFS}) {
+  for (const Strategy strategy : kExhaustive) {
     CheckRequest request = request_for(kSmall, strategy);
     request.budget.max_visited = 50;
     const CheckReport report = check(std::move(request));
+    SCOPED_TRACE(strategy_name(strategy));
     expect_typed_truncation(report, sim::StopReason::kVisitedCap);
     EXPECT_GE(report.stats.visited, 50u);  // partial stats survive
   }
+}
+
+TEST(RobustnessTest, VisitedCapTruncatesAfterThePhaseSwitch) {
+  // kSmall has 542 states: the cap lies past the sequential limit, so it
+  // trips while all four workers run.
+  CheckRequest request = request_for(kSmall, Strategy::kAuto);
+  request.budget.max_visited = 300;
+  const CheckReport report = check(std::move(request));
+  expect_typed_truncation(report, sim::StopReason::kVisitedCap);
+  EXPECT_EQ(report.threads_used, 4);
+  EXPECT_GE(report.stats.visited, 300u);
 }
 
 TEST(RobustnessTest, TimeLimitTruncatesParallelWithPartialStats) {
@@ -96,15 +111,23 @@ TEST(RobustnessTest, TimeLimitTruncatesSequentialWithPartialStats) {
   EXPECT_GT(report.stats.visited, 0u);
 }
 
+TEST(RobustnessTest, TimeLimitTruncatesAutoWithPartialStats) {
+  CheckRequest request = request_for(kLarge, Strategy::kAuto);
+  request.budget.time_limit_ms = 1;
+  const CheckReport report = check(std::move(request));
+  expect_typed_truncation(report, sim::StopReason::kDeadline);
+  EXPECT_GT(report.stats.visited, 0u);
+  EXPECT_NE(report.violation->description.find("time limit"), std::string::npos);
+}
+
 TEST(RobustnessTest, MemoryLimitTruncatesGracefully) {
   // 1 MiB is below any real process RSS, so the sentinel trips on its first
   // sample — deterministic without having to actually exhaust memory.
-  for (const Strategy strategy :
-       {Strategy::kSequentialDFS, Strategy::kParallelBFS}) {
+  for (const Strategy strategy : kExhaustive) {
     CheckRequest request = request_for(kLarge, strategy);
     request.budget.mem_limit_mb = 1;
     const CheckReport report = check(std::move(request));
-    SCOPED_TRACE(strategy == Strategy::kSequentialDFS ? "dfs" : "bfs");
+    SCOPED_TRACE(strategy_name(strategy));
     expect_typed_truncation(report, sim::StopReason::kMemory);
   }
 }
@@ -119,6 +142,31 @@ TEST(RobustnessTest, SentinelsOffLeaveVerdictsComplete) {
   EXPECT_TRUE(report.complete);
   EXPECT_FALSE(report.stats.truncated);
   EXPECT_EQ(report.stats.stop_reason, sim::StopReason::kNone);
+}
+
+TEST(RobustnessTest, WatchdogNeverFlagsWorkersThatHaveNotStarted) {
+  // A watchdog at its tightest cadence over a kAuto run that stays in the
+  // sequential phase throughout (kLarge has fewer states than the default
+  // limit): workers 1..3 never start, and an idle worker is never a stall.
+  // Worker 0 itself can still be descheduled for two intervals on a loaded
+  // machine; a report may then name it, and only it.
+  CheckRequest request = request_for(kLarge, Strategy::kAuto);
+  request.sequential_limit = CheckRequest{}.sequential_limit;
+  request.watchdog_stall_intervals = 2;
+  request.sentinel_interval_ms = 1;
+  const CheckReport report = check(std::move(request));
+  if (report.stats.stop_reason == sim::StopReason::kWatchdog) {
+    const std::string& dump = report.violation->description;
+    EXPECT_NE(dump.find("worker 0:"), std::string::npos) << dump;
+    for (const char* idle : {"worker 1:", "worker 2:", "worker 3:"}) {
+      EXPECT_EQ(dump.find(idle), std::string::npos) << dump;
+    }
+    return;
+  }
+  EXPECT_TRUE(report.clean) << report.violation->description;
+  EXPECT_TRUE(report.complete);
+  EXPECT_FALSE(report.stats.truncated);
+  EXPECT_EQ(report.threads_used, 1);
 }
 
 TEST(RobustnessTest, TimeLimitSpecFieldsReachTheBudget) {

@@ -5,10 +5,10 @@
 // of thread count, batching, stealing, and the per-worker dedup caches — and
 // must agree with the sequential DFS wherever the contract promises it:
 // the verdict everywhere, every counter on clean instances (where both
-// explorers do identical work). The two explorers' *violations* differ by
-// design on instances with several violating edges: sequential DFS stops at
-// the first violation its depth-first order meets, while the engine drains
-// the graph and reports the globally lexicographically-lowest trace (on
+// phases do identical work). The two phases' *violations* differ by design
+// on instances with several violating edges: the sequential DFS stops at
+// the first violation its depth-first order meets, while the parallel phase
+// drains the graph and reports the globally lexicographically-lowest trace (on
 // halting-TAS that is a validity violation down an all-step(p0) path, not
 // the agreement violation the DFS trips over first).
 //

@@ -1,12 +1,13 @@
-// Differential test of the production explorers against the full-record
-// reference explorer (tests/support/reference_explorer.hpp). With symmetry
-// reduction off, sim::Explorer and engine::ParallelExplorer at t=1 and t=4
-// must traverse the *identical* deduplicated graph as the reference — same
-// visited / transition / decision / terminal counts and the same verdict —
-// and sim::Explorer, which shares the reference's DFS event order and
-// first-path dedup, must report the same violating schedule. With symmetry
-// reduction on, the visited set may only shrink (never grow) and the verdict
-// must be preserved.
+// Differential test of the engine against the full-record reference explorer
+// (tests/support/reference_explorer.hpp). With symmetry reduction off, every
+// engine configuration must traverse the *identical* deduplicated graph as
+// the reference — same visited / transition / decision / terminal counts and
+// the same verdict: the sequential phase alone (which shares the reference's
+// DFS event order and first-path dedup, so it must also report the same
+// violating schedule), the parallel phase alone at t=1 and t=4, and a run
+// that switches phases after kSwitchStates states. With symmetry reduction
+// on, the visited set may only shrink (never grow) and the verdict must be
+// preserved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "engine/parallel_explorer.hpp"
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
-#include "sim/explorer.hpp"
 #include "support/reference_explorer.hpp"
 #include "typesys/zoo.hpp"
 
@@ -32,6 +32,7 @@ using test::ReferenceResult;
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
 constexpr int kThreadCounts[] = {1, 4};
+constexpr std::uint64_t kSwitchStates = 50;
 
 struct Outcome {
   std::optional<sim::Violation> violation;
@@ -49,24 +50,26 @@ ReferenceResult run_reference(const System& system, const sim::ExplorerConfig& c
   return ReferenceExplorer(config, mode).run(system.memory, system.processes);
 }
 
-Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
-  sim::Explorer explorer(system.memory, system.processes, config);
+Outcome run_engine(const System& system, const sim::ExplorerConfig& base, int threads,
+                   std::uint64_t sequential_limit) {
+  ParallelExplorerConfig config;
+  static_cast<sim::ExplorerConfig&>(config) = base;
+  config.num_threads = threads;
+  config.sequential_limit = sequential_limit;
+  ParallelExplorer explorer(system.memory, system.processes, config);
   Outcome outcome;
   outcome.violation = explorer.run();
   outcome.stats = explorer.stats();
   return outcome;
 }
 
-Outcome run_parallel(const System& system, const sim::ExplorerConfig& base,
+Outcome run_sequential(const System& system, const sim::ExplorerConfig& config) {
+  return run_engine(system, config, 1, kSequentialOnly);
+}
+
+Outcome run_parallel(const System& system, const sim::ExplorerConfig& config,
                      int threads) {
-  ParallelExplorerConfig config;
-  static_cast<sim::ExplorerConfig&>(config) = base;
-  config.num_threads = threads;
-  ParallelExplorer explorer(system.memory, system.processes, config);
-  Outcome outcome;
-  outcome.violation = explorer.run();
-  outcome.stats = explorer.stats();
-  return outcome;
+  return run_engine(system, config, threads, 0);
 }
 
 void expect_identical_graph(const ReferenceResult& reference, const Outcome& outcome,
@@ -86,8 +89,10 @@ void expect_identical_graph(const ReferenceResult& reference, const Outcome& out
   }
 }
 
-// sim::Explorer against the stop-at-first-violation reference, then the
-// parallel engine at every thread count against the draining reference.
+// The sequential phase against the stop-at-first-violation reference, then
+// the parallel phase at every thread count against the draining reference.
+// On clean instances the two references coincide, and a run that switches
+// phases mid-graph must traverse it too.
 void expect_explorers_match_reference(const System& system,
                                       const sim::ExplorerConfig& config) {
   const ReferenceResult first = run_reference(system, config, OnViolation::kStop);
@@ -102,6 +107,11 @@ void expect_explorers_match_reference(const System& system,
   for (const int threads : kThreadCounts) {
     expect_identical_graph(drained, run_parallel(system, config, threads),
                            "parallel t=" + std::to_string(threads));
+  }
+  if (!first.violation.has_value()) {
+    ASSERT_GT(first.visited, kSwitchStates);
+    expect_identical_graph(first, run_engine(system, config, 4, kSwitchStates),
+                           "switch at " + std::to_string(kSwitchStates));
   }
 }
 
@@ -158,10 +168,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DifferentialTest, ViolatingSystemMatchesTheReference) {
-  // The naive register race: every explorer must find a violation, the
-  // sequential one on the reference's exact schedule, and the parallel
-  // engine — which drains the graph instead of stopping — on the reference's
-  // full violation-free graph.
+  // The naive register race: every engine phase must find a violation, the
+  // sequential one on the reference's exact schedule, and the parallel one —
+  // which drains the graph instead of stopping — on the reference's full
+  // violation-free graph.
   rc::NaiveRegisterSystem built = rc::make_naive_register_system(2);
   const System system{std::move(built.memory), std::move(built.processes), {}};
 
@@ -211,7 +221,7 @@ TEST(DifferentialTest, CanonicalizationOnlyShrinksTheVisitedSet) {
       EXPECT_GT(on.stats.store.canonical_hits, 0u) << type_name;
     }
 
-    // The parallel engine agrees with the sequential explorer under
+    // The parallel phase agrees with the sequential one under
     // canonicalization too.
     for (const int threads : kThreadCounts) {
       const Outcome parallel = run_parallel(system, with_symmetry, threads);

@@ -1,7 +1,7 @@
-// Parity and determinism of the parallel engine against the sequential
-// explorer: both must report the same verdict (violation-or-clean) on every
-// covered configuration, and repeated parallel runs must agree with each
-// other (ISSUE: deterministic first-violation reporting).
+// Parity and determinism of the engine's parallel phase against its
+// sequential phase: both must report the same verdict (violation-or-clean)
+// on every covered configuration, and repeated parallel runs must agree with
+// each other (deterministic lowest-trace reporting).
 #include "engine/parallel_explorer.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "hierarchy/recording.hpp"
 #include "rc/team_consensus.hpp"
-#include "sim/explorer.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -20,7 +19,7 @@ namespace {
 constexpr typesys::Value kInputA = 101;
 constexpr typesys::Value kInputB = 202;
 
-// Deliberately broken "consensus" (same as the sequential explorer's tests):
+// Deliberately broken "consensus" (same as tests/sim/explorer_test.cpp):
 // write your input, decide what you read — register non-solvability.
 struct BrokenConsensus {
   sim::RegId reg = 0;
@@ -51,6 +50,13 @@ ParallelExplorerConfig parallel_config(const sim::ExplorerConfig& base,
   return config;
 }
 
+// The sequential phase alone: one worker, first-violation DFS.
+ParallelExplorerConfig sequential_config(const sim::ExplorerConfig& base) {
+  ParallelExplorerConfig config = parallel_config(base, 1, 0);
+  config.sequential_limit = kSequentialOnly;
+  return config;
+}
+
 struct ModelCase {
   std::string type_name;
   int n;
@@ -73,7 +79,7 @@ std::vector<ModelCase> model_cases() {
 
 class ParallelParityTest : public ::testing::TestWithParam<ModelCase> {};
 
-// On clean instances the two explorers traverse the identical deduplicated
+// On clean instances the two phases traverse the identical deduplicated
 // graph, so not only the verdict but every counter must match.
 TEST_P(ParallelParityTest, AgreesWithSequentialExplorer) {
   const ModelCase& c = GetParam();
@@ -88,12 +94,14 @@ TEST_P(ParallelParityTest, AgreesWithSequentialExplorer) {
   base.crash_budget = c.crash_budget;
   base.properties.valid_outputs = {kInputA, kInputB};
 
-  sim::Explorer sequential(system.memory, system.processes, base);
+  ParallelExplorer sequential(system.memory, system.processes, sequential_config(base));
   const auto sequential_violation = sequential.run();
 
   ParallelExplorer parallel(system.memory, system.processes, parallel_config(base));
   const auto parallel_violation = parallel.run();
 
+  EXPECT_TRUE(sequential.stayed_sequential());
+  EXPECT_FALSE(parallel.stayed_sequential());
   EXPECT_EQ(sequential_violation.has_value(), parallel_violation.has_value());
   EXPECT_EQ(sequential.stats().visited, parallel.stats().visited);
   EXPECT_EQ(sequential.stats().transitions, parallel.stats().transitions);
@@ -159,7 +167,7 @@ TEST(ParallelExplorerTest, ReportsLowestTraceViolation) {
   base.crash_budget = 0;
   base.properties.valid_outputs = {1, 2};
 
-  sim::Explorer sequential(memory, processes, base);
+  ParallelExplorer sequential(memory, processes, sequential_config(base));
   const auto sequential_violation = sequential.run();
   ASSERT_TRUE(sequential_violation.has_value());
 
@@ -196,16 +204,18 @@ TEST(ParallelExplorerDeathTest, ShardBitsOutOfRangeAsserts) {
   }
 }
 
-TEST(ParallelExplorerTest, AutoShardBitsResolvesFromThreadsAndExpectation) {
-  sim::Memory memory;
-  const sim::RegId reg = memory.add_register();
-  std::vector<sim::Process> processes;
-  processes.emplace_back(BrokenConsensus{reg, 1, 0});
-  ParallelExplorerConfig config;
-  config.num_threads = 4;
-  config.expected_states = 1'000'000;
-  ParallelExplorer explorer(std::move(memory), std::move(processes), config);
-  EXPECT_EQ(explorer.shard_bits(), pick_shard_bits(4, 1'000'000));
+TEST(ParallelExplorerTest, AutoShardBitsResolvesFromThreadsAndVisitedCap) {
+  for (const std::int64_t cap : {std::int64_t{1'000}, std::int64_t{1'000'000}}) {
+    sim::Memory memory;
+    const sim::RegId reg = memory.add_register();
+    std::vector<sim::Process> processes;
+    processes.emplace_back(BrokenConsensus{reg, 1, 0});
+    ParallelExplorerConfig config;
+    config.num_threads = 4;
+    config.max_visited = cap;
+    ParallelExplorer explorer(std::move(memory), std::move(processes), config);
+    EXPECT_EQ(explorer.shard_bits(), pick_shard_bits(4, static_cast<std::uint64_t>(cap)));
+  }
 }
 
 TEST(ParallelExplorerTest, FindsValidityViolation) {
@@ -299,7 +309,7 @@ TEST(ParallelExplorerTest, SingleThreadSubsumesSequential) {
   base.crash_budget = 2;
   base.properties.valid_outputs = {kInputA, kInputB};
 
-  sim::Explorer sequential(system.memory, system.processes, base);
+  ParallelExplorer sequential(system.memory, system.processes, sequential_config(base));
   const auto sequential_violation = sequential.run();
 
   ParallelExplorer single(system.memory, system.processes,

@@ -71,11 +71,11 @@ TEST(MetricsRegistryTest, HandlesAreStableAndGetOrCreateReturnsSame) {
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   MetricsRegistry registry;
   registry.counter("store.nodes").add(0, 1);
-  registry.counter("check.probe_visited").add(0, 2);
+  registry.counter("engine.decisions").add(0, 2);
   registry.gauge("engine.num_threads").set(4);
   const MetricsSnapshot snapshot = registry.snapshot();
   ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].name, "check.probe_visited");
+  EXPECT_EQ(snapshot[0].name, "engine.decisions");
   EXPECT_EQ(snapshot[1].name, "engine.num_threads");
   EXPECT_EQ(snapshot[2].name, "store.nodes");
 }
@@ -298,22 +298,31 @@ TEST(MetricsContractTest, ReplayPublishesScheduleTotals) {
   EXPECT_GE(counter_value(report.metrics, "replay.violations"), 1u);
 }
 
-TEST(MetricsContractTest, AutoEscalationResetsProbePollution) {
-  // A tiny probe limit forces kAuto to escalate; the engine totals must then
-  // describe only the parallel run, with the probe's work preserved under
-  // check.probe_visited.
-  MetricsRegistry registry;
-  check::CheckRequest request = team_request(2, 3);
-  request.auto_probe_limit = 100;
-  request.num_threads = 2;
-  request.obs.metrics = &registry;
-  request.strategy = check::Strategy::kAuto;
-  const check::CheckReport report = check::check(std::move(request));
-  ASSERT_EQ(report.strategy, check::Strategy::kParallelBFS);
-  expect_exhaustive_contract(report);
-  // The probe may visit one state past its limit before noticing truncation.
-  EXPECT_GT(counter_value(report.metrics, "check.probe_visited"), 0u);
-  EXPECT_LE(counter_value(report.metrics, "check.probe_visited"), 101u);
+TEST(MetricsContractTest, AutoPhaseSwitchKeepsCountersExact) {
+  // A tiny sequential limit makes kAuto switch phases mid-graph: the totals
+  // must cover both phases exactly once — equal to the report's stats and to
+  // a kSequentialDFS run's counts.
+  const check::CheckReport sequential = check::check([] {
+    check::CheckRequest request = team_request(2, 3);
+    request.strategy = check::Strategy::kSequentialDFS;
+    return request;
+  }());
+  for (const int threads : {2, 4}) {
+    MetricsRegistry registry;
+    check::CheckRequest request = team_request(2, 3);
+    request.sequential_limit = 100;
+    const check::CheckReport report =
+        run_with_registry(std::move(request), check::Strategy::kAuto, threads, registry);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ASSERT_EQ(report.threads_used, threads);
+    EXPECT_TRUE(report.clean);
+    EXPECT_TRUE(report.complete);
+    expect_exhaustive_contract(report);
+    EXPECT_EQ(report.stats.visited, sequential.stats.visited);
+    EXPECT_EQ(report.stats.transitions, sequential.stats.transitions);
+    EXPECT_EQ(report.stats.decisions, sequential.stats.decisions);
+    EXPECT_EQ(report.stats.terminal_states, sequential.stats.terminal_states);
+  }
 }
 
 TEST(MetricsContractTest, NoRegistryMeansEmptySnapshotInReport) {

@@ -34,7 +34,7 @@ TEST(TraceTest, NestedSpansRoundTripThroughValidator) {
     Span outer(&tracer, 0, "check");
     {
       Span inner(&tracer, 0, "explore");
-      tracer.instant(0, "auto_select");
+      tracer.instant(0, "marker");
     }
     Span sibling(&tracer, 0, "minimize");
   }

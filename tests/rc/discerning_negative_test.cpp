@@ -83,14 +83,33 @@ TEST(HaltingNegativeTest, TnConsensusBreaksUnderCrashes) {
   // fail for 4 processes once crashes are possible (Theorem 14 says nothing
   // recoverable exists; this exhibits the concrete failure of this
   // particular algorithm).
-  auto type = typesys::make_type("Tn(4)");
-  HaltingConsensusSystem system = make_halting_consensus(std::move(type), 4, {1, 2, 3, 4});
-  check::CheckRequest request =
-      halting_request(std::move(system), {1, 2, 3, 4}, /*crash_budget=*/2);
-  request.budget.max_visited = 40'000'000;
-  request.strategy = check::Strategy::kSequentialDFS;
-  const check::CheckReport report = check::check(std::move(request));
+  const auto request_for = [](check::Strategy strategy) {
+    auto type = typesys::make_type("Tn(4)");
+    HaltingConsensusSystem system =
+        make_halting_consensus(std::move(type), 4, {1, 2, 3, 4});
+    check::CheckRequest request =
+        halting_request(std::move(system), {1, 2, 3, 4}, /*crash_budget=*/2);
+    request.budget.max_visited = 40'000'000;
+    request.strategy = strategy;
+    request.num_threads = 4;
+    return request;
+  };
+  const check::CheckReport report =
+      check::check(request_for(check::Strategy::kSequentialDFS));
   ASSERT_FALSE(report.clean);
+  ASSERT_TRUE(report.violation.has_value());
+
+  // kAuto keeps the DFS's early exit: the violation lies well inside the
+  // sequential phase, so the other workers never start and the report is
+  // the DFS's own. Draining this state space instead takes millions of
+  // states.
+  const check::CheckReport automatic = check::check(request_for(check::Strategy::kAuto));
+  EXPECT_EQ(automatic.strategy, check::Strategy::kSequentialDFS);
+  EXPECT_EQ(automatic.threads_used, 1);
+  ASSERT_TRUE(automatic.violation.has_value());
+  EXPECT_EQ(automatic.violation->description, report.violation->description);
+  EXPECT_EQ(automatic.violation->schedule, report.violation->schedule);
+  EXPECT_EQ(automatic.stats.visited, report.stats.visited);
 }
 
 TEST(HaltingNegativeTest, EvenCasBreaksWhenAlgorithmIsResponseBased) {

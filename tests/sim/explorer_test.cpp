@@ -1,9 +1,20 @@
-#include "sim/explorer.hpp"
-
+// The engine's sequential phase run alone (sequential_limit =
+// engine::kSequentialOnly, one worker): the deterministic first-violation
+// DFS that the check facade's kSequentialDFS strategy runs.
 #include <gtest/gtest.h>
+
+#include "engine/parallel_explorer.hpp"
 
 namespace rcons::sim {
 namespace {
+
+engine::ParallelExplorerConfig dfs_config(const ExplorerConfig& base) {
+  engine::ParallelExplorerConfig config;
+  static_cast<ExplorerConfig&>(config) = base;
+  config.num_threads = 1;
+  config.sequential_limit = engine::kSequentialOnly;
+  return config;
+}
 
 // Deliberately broken "consensus": each process writes its input to a shared
 // register and decides what it reads afterwards — classic register
@@ -52,9 +63,11 @@ TEST(ExplorerTest, FindsAgreementViolation) {
   ExplorerConfig config;
   config.crash_budget = 0;
   config.properties.valid_outputs = {1, 2};
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   const auto violation = explorer.run();
   ASSERT_TRUE(violation.has_value());
+  EXPECT_TRUE(explorer.stayed_sequential());
   EXPECT_NE(violation->description.find("agreement"), std::string::npos);
   EXPECT_FALSE(violation->schedule.empty());
   EXPECT_FALSE(violation->trace().empty());
@@ -67,7 +80,8 @@ TEST(ExplorerTest, FindsValidityViolation) {
   ExplorerConfig config;
   config.properties.valid_outputs = {1, 2};
   config.crash_budget = 0;
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   const auto violation = explorer.run();
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->description.find("validity"), std::string::npos);
@@ -81,7 +95,8 @@ TEST(ExplorerTest, CleanSystemPasses) {
   ExplorerConfig config;
   config.properties.valid_outputs = {1};
   config.crash_budget = 3;
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   EXPECT_FALSE(explorer.run().has_value());
   EXPECT_GT(explorer.stats().visited, 0u);
 }
@@ -111,7 +126,8 @@ TEST(ExplorerTest, WaitFreedomBoundFlagsLoopers) {
   ExplorerConfig config;
   config.crash_budget = 0;
   config.max_steps_per_run = 10;
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   const auto violation = explorer.run();
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->description.find("wait-freedom"), std::string::npos);
@@ -128,7 +144,8 @@ TEST(ExplorerTest, CrashBudgetRespected) {
   ExplorerConfig config;
   config.crash_budget = 0;
   config.properties.valid_outputs = {1};
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   EXPECT_FALSE(explorer.run().has_value());
 }
 
@@ -142,7 +159,8 @@ TEST(ExplorerTest, CrashRerunsProduceMoreDecisions) {
   ExplorerConfig with_crashes;
   with_crashes.crash_budget = 2;
   with_crashes.properties.valid_outputs = {1};
-  Explorer explorer(std::move(memory), std::move(processes), with_crashes);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(with_crashes));
   EXPECT_FALSE(explorer.run().has_value());
   ExplorerConfig no_crashes;
   no_crashes.crash_budget = 0;
@@ -151,7 +169,8 @@ TEST(ExplorerTest, CrashRerunsProduceMoreDecisions) {
   const RegId reg2 = memory2.add_register();
   std::vector<Process> processes2;
   processes2.emplace_back(BrokenConsensus{reg2, 1, 0});
-  Explorer baseline(std::move(memory2), std::move(processes2), no_crashes);
+  engine::ParallelExplorer baseline(std::move(memory2), std::move(processes2),
+                                   dfs_config(no_crashes));
   EXPECT_FALSE(baseline.run().has_value());
   EXPECT_GT(explorer.stats().visited, baseline.stats().visited);
 }
@@ -169,7 +188,8 @@ TEST(ExplorerTest, SimultaneousModelCrashesEveryone) {
   config.crash_model = CrashModel::kSimultaneous;
   config.crash_budget = 1;
   config.properties.valid_outputs = {1, 2};
-  Explorer explorer(std::move(memory), std::move(processes), config);
+  engine::ParallelExplorer explorer(std::move(memory), std::move(processes),
+                                   dfs_config(config));
   EXPECT_TRUE(explorer.run().has_value());
 }
 

@@ -37,11 +37,11 @@ struct ReferenceResult {
 };
 
 // What the search does on a violating edge:
-//   kStop  — return at once, like sim::Explorer: the reported schedule is the
-//            first violation in DFS event order;
-//   kDrain — never expand the edge but keep exploring, like
-//            engine::ParallelExplorer: the counts cover the whole graph and
-//            the reported schedule is the lowest (engine::path_less) found.
+//   kStop  — return at once, like the engine's sequential phase: the
+//            reported schedule is the first violation in DFS event order;
+//   kDrain — never expand the edge but keep exploring, like the engine's
+//            parallel phase: the counts cover the whole graph and the
+//            reported schedule is the lowest (engine::path_less) found.
 enum class OnViolation { kStop, kDrain };
 
 class ReferenceExplorer {
