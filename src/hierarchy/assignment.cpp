@@ -1,6 +1,7 @@
 #include "hierarchy/assignment.hpp"
 
 #include <sstream>
+#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -114,6 +115,33 @@ bool for_each_likely_assignment(int n, int num_ops,
           return true;
         }
       }
+    }
+  }
+  return false;
+}
+
+bool for_each_witness_candidate(
+    const typesys::TransitionCache& cache,
+    const std::function<bool(typesys::StateId, const Assignment&)>& visit) {
+  const int n = cache.num_processes();
+  // De-duplicate candidate initial states (types may legitimately repeat).
+  std::vector<typesys::StateId> candidates;
+  std::unordered_set<typesys::StateId> seen;
+  for (const typesys::StateId q0 : cache.initial_states()) {
+    if (seen.insert(q0).second) candidates.push_back(q0);
+  }
+  for (const typesys::StateId q0 : candidates) {
+    if (for_each_likely_assignment(n, cache.num_ops(), [&](const Assignment& assignment) {
+          return visit(q0, assignment);
+        })) {
+      return true;
+    }
+  }
+  for (const typesys::StateId q0 : candidates) {
+    if (for_each_assignment(n, cache.num_ops(), [&](const Assignment& assignment) {
+          return visit(q0, assignment);
+        })) {
+      return true;
     }
   }
   return false;

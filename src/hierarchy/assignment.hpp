@@ -57,6 +57,13 @@ bool for_each_assignment(int n, int num_ops,
 bool for_each_likely_assignment(int n, int num_ops,
                                 const std::function<bool(const Assignment&)>& visit);
 
+// The witness searches' order over (q0, assignment) pairs: the likely shapes
+// for every distinct candidate initial state of `cache`, then every
+// assignment for each. Returns early (and returns true) once `visit` does.
+bool for_each_witness_candidate(
+    const typesys::TransitionCache& cache,
+    const std::function<bool(typesys::StateId, const Assignment&)>& visit);
+
 }  // namespace rcons::hierarchy
 
 #endif  // RCONS_HIERARCHY_ASSIGNMENT_HPP

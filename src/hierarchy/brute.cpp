@@ -78,10 +78,9 @@ bool brute_check_discerning(TransitionCache& cache, StateId q0,
   RCONS_ASSERT(team.size() == ops.size());
   const int n = static_cast<int>(ops.size());
   // r_sets[X][j]: the literal R_{X,j} as (response, final state) pairs.
-  std::vector<std::unordered_set<RPair>> r_sets[2];
+  std::vector<RespStateSet> r_sets[2];
   r_sets[0].resize(static_cast<std::size_t>(n));
   r_sets[1].resize(static_cast<std::size_t>(n));
-  ResponseIntern responses_intern;
 
   walk(cache, q0, ops,
        [&](int first, StateId state, unsigned mask,
@@ -89,13 +88,12 @@ bool brute_check_discerning(TransitionCache& cache, StateId q0,
          const int x = team[static_cast<std::size_t>(first)];
          for (int j = 0; j < n; ++j) {
            if (!(mask & (1u << j))) continue;
-           const int resp_id =
-               responses_intern.intern(responses[static_cast<std::size_t>(j)]);
-           r_sets[x][static_cast<std::size_t>(j)].insert(encode_rpair(resp_id, state));
+           r_sets[x][static_cast<std::size_t>(j)].insert(
+               RespState{responses[static_cast<std::size_t>(j)], state});
          }
        });
   for (int j = 0; j < n; ++j) {
-    for (const RPair pair : r_sets[kTeamA][static_cast<std::size_t>(j)]) {
+    for (const RespState& pair : r_sets[kTeamA][static_cast<std::size_t>(j)]) {
       if (r_sets[kTeamB][static_cast<std::size_t>(j)].contains(pair)) return false;
     }
   }

@@ -1,8 +1,6 @@
 #include "hierarchy/discerning.hpp"
 
-#include <unordered_set>
-
-#include "hierarchy/qsets.hpp"
+#include <algorithm>
 
 namespace rcons::hierarchy {
 
@@ -14,46 +12,34 @@ std::string DiscerningWitness::format(const TransitionCache& cache) const {
          assignment.format(cache);
 }
 
-bool check_discerning_assignment(TransitionCache& cache, StateId q0,
-                                 const Assignment& assignment) {
+bool check_discerning_assignment(ReachMemo& memo, StateId q0, const Assignment& assignment) {
   // Definition 2 requires R_{A,j} ∩ R_{B,j} = ∅ for every process j; by class
   // symmetry it suffices to check one distinguished process per class.
   for (std::size_t c = 0; c < assignment.classes.size(); ++c) {
-    ResponseIntern responses;
-    const auto r_a = r_set(cache, q0, assignment, c, kTeamA, responses);
-    const auto r_b = r_set(cache, q0, assignment, c, kTeamB, responses);
-    const auto& small = r_a.size() <= r_b.size() ? r_a : r_b;
-    const auto& large = r_a.size() <= r_b.size() ? r_b : r_a;
-    for (const RPair pair : small) {
-      if (large.contains(pair)) return false;
+    const std::vector<StateBits>& r_a = memo.r_set(q0, assignment, c, kTeamA);
+    const std::vector<StateBits>& r_b = memo.r_set(q0, assignment, c, kTeamB);
+    for (std::size_t r = 0; r < std::min(r_a.size(), r_b.size()); ++r) {
+      if (r_a[r].intersects(r_b[r])) return false;
     }
   }
   return true;
 }
 
+bool check_discerning_assignment(TransitionCache& cache, StateId q0,
+                                 const Assignment& assignment) {
+  ReachMemo memo(cache);
+  return check_discerning_assignment(memo, q0, assignment);
+}
+
 std::optional<DiscerningWitness> find_discerning_witness(TransitionCache& cache) {
-  const int n = cache.num_processes();
+  ReachMemo memo(cache);
   std::optional<DiscerningWitness> witness;
-  auto visit_with = [&](StateId q0) {
-    return [&cache, &witness, q0](const Assignment& assignment) {
-      if (!check_discerning_assignment(cache, q0, assignment)) return false;
-      witness = DiscerningWitness{q0, assignment};
-      return true;
-    };
-  };
-  // De-duplicate candidate initial states (types may legitimately repeat).
-  std::vector<StateId> candidates;
-  std::unordered_set<StateId> seen;
-  for (const StateId q0 : cache.initial_states()) {
-    if (seen.insert(q0).second) candidates.push_back(q0);
-  }
-  for (const StateId q0 : candidates) {
-    if (for_each_likely_assignment(n, cache.num_ops(), visit_with(q0))) return witness;
-  }
-  for (const StateId q0 : candidates) {
-    if (for_each_assignment(n, cache.num_ops(), visit_with(q0))) return witness;
-  }
-  return std::nullopt;
+  for_each_witness_candidate(cache, [&](StateId q0, const Assignment& assignment) {
+    if (!check_discerning_assignment(memo, q0, assignment)) return false;
+    witness = DiscerningWitness{q0, assignment};
+    return true;
+  });
+  return witness;
 }
 
 bool is_discerning(const typesys::ObjectType& type, int n) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "hierarchy/assignment.hpp"
+#include "hierarchy/qsets.hpp"
 #include "typesys/transition_cache.hpp"
 
 namespace rcons::hierarchy {
@@ -21,13 +22,19 @@ struct DiscerningWitness {
   std::string format(const typesys::TransitionCache& cache) const;
 };
 
-// Checks whether a specific (q0, assignment) pair satisfies Definition 2.
+// Checks whether a specific (q0, assignment) pair satisfies Definition 2,
+// reading and extending `memo`'s sets.
+bool check_discerning_assignment(ReachMemo& memo, typesys::StateId q0,
+                                 const Assignment& assignment);
+
+// The same check with a memo of its own.
 bool check_discerning_assignment(typesys::TransitionCache& cache, typesys::StateId q0,
                                  const Assignment& assignment);
 
-// Searches all candidate initial states and multiset assignments; returns a
-// witness iff the type is n-discerning (relative to the type's candidate
-// operation/state sets — exact for finite types; see DESIGN.md).
+// Searches all candidate initial states and multiset assignments (in
+// for_each_witness_candidate order, with one memo for the whole search);
+// returns a witness iff the type is n-discerning (relative to the type's
+// candidate operation/state sets — exact for finite types; see DESIGN.md).
 std::optional<DiscerningWitness> find_discerning_witness(typesys::TransitionCache& cache);
 
 // Convenience entry point building its own cache.

@@ -1,6 +1,5 @@
 #include "hierarchy/recording.hpp"
 
-#include "hierarchy/qsets.hpp"
 #include "util/assert.hpp"
 
 namespace rcons::hierarchy {
@@ -14,16 +13,11 @@ std::string RecordingWitness::format(const TransitionCache& cache) const {
          " |Q_B|=" + std::to_string(q_b.size());
 }
 
-bool check_recording_assignment(TransitionCache& cache, StateId q0,
-                                const Assignment& assignment) {
-  const auto q_a = q_set(cache, q0, assignment, kTeamA);
-  const auto q_b = q_set(cache, q0, assignment, kTeamB);
+bool check_recording_assignment(ReachMemo& memo, StateId q0, const Assignment& assignment) {
+  const StateBits& q_a = memo.q_set(q0, assignment, kTeamA);
+  const StateBits& q_b = memo.q_set(q0, assignment, kTeamB);
   // Condition 1: Q_A ∩ Q_B = ∅.
-  const auto& small = q_a.size() <= q_b.size() ? q_a : q_b;
-  const auto& large = q_a.size() <= q_b.size() ? q_b : q_a;
-  for (const StateId q : small) {
-    if (large.contains(q)) return false;
-  }
+  if (q_a.intersects(q_b)) return false;
   // Condition 2: q0 ∉ Q_A or |B| = 1.
   if (q_a.contains(q0) && assignment.team_size[kTeamB] != 1) return false;
   // Condition 3: q0 ∉ Q_B or |A| = 1.
@@ -31,36 +25,30 @@ bool check_recording_assignment(TransitionCache& cache, StateId q0,
   return true;
 }
 
+bool check_recording_assignment(TransitionCache& cache, StateId q0,
+                                const Assignment& assignment) {
+  ReachMemo memo(cache);
+  return check_recording_assignment(memo, q0, assignment);
+}
+
 std::optional<RecordingWitness> find_recording_witness(TransitionCache& cache) {
   const int n = cache.num_processes();
+  ReachMemo memo(cache);
   std::optional<RecordingWitness> witness;
-  auto visit_with = [&](StateId q0) {
-    return [&cache, &witness, q0, n](const Assignment& assignment) {
-      if (!check_recording_assignment(cache, q0, assignment)) return false;
-      RecordingWitness w;
-      w.n = n;
-      w.q0 = q0;
-      w.assignment = assignment;
-      assignment.expand(w.team, w.ops);
-      w.q_a = q_set(cache, q0, assignment, kTeamA);
-      w.q_b = q_set(cache, q0, assignment, kTeamB);
-      RCONS_ASSERT(static_cast<int>(w.team.size()) == n);
-      witness = std::move(w);
-      return true;
-    };
-  };
-  std::vector<StateId> candidates;
-  std::unordered_set<StateId> seen;
-  for (const StateId q0 : cache.initial_states()) {
-    if (seen.insert(q0).second) candidates.push_back(q0);
-  }
-  for (const StateId q0 : candidates) {
-    if (for_each_likely_assignment(n, cache.num_ops(), visit_with(q0))) return witness;
-  }
-  for (const StateId q0 : candidates) {
-    if (for_each_assignment(n, cache.num_ops(), visit_with(q0))) return witness;
-  }
-  return std::nullopt;
+  for_each_witness_candidate(cache, [&](StateId q0, const Assignment& assignment) {
+    if (!check_recording_assignment(memo, q0, assignment)) return false;
+    RecordingWitness w;
+    w.n = n;
+    w.q0 = q0;
+    w.assignment = assignment;
+    assignment.expand(w.team, w.ops);
+    w.q_a = memo.q_set(q0, assignment, kTeamA).to_set();
+    w.q_b = memo.q_set(q0, assignment, kTeamB).to_set();
+    RCONS_ASSERT(static_cast<int>(w.team.size()) == n);
+    witness = std::move(w);
+    return true;
+  });
+  return witness;
 }
 
 bool is_recording(const typesys::ObjectType& type, int n) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hierarchy/assignment.hpp"
+#include "hierarchy/qsets.hpp"
 #include "typesys/transition_cache.hpp"
 
 namespace rcons::hierarchy {
@@ -30,12 +31,17 @@ struct RecordingWitness {
 };
 
 // Checks whether a specific (q0, assignment) pair satisfies the three
-// conditions of Definition 4.
+// conditions of Definition 4, reading and extending `memo`'s sets.
+bool check_recording_assignment(ReachMemo& memo, typesys::StateId q0,
+                                const Assignment& assignment);
+
+// The same check with a memo of its own.
 bool check_recording_assignment(typesys::TransitionCache& cache, typesys::StateId q0,
                                 const Assignment& assignment);
 
-// Searches candidate initial states and multiset assignments; returns a fully
-// expanded witness iff the type is n-recording (relative to the candidate
+// Searches candidate initial states and multiset assignments (in
+// for_each_witness_candidate order, with one memo for the whole search);
+// returns a fully expanded witness iff the type is n-recording (relative to the candidate
 // sets — exact for finite types; see DESIGN.md).
 std::optional<RecordingWitness> find_recording_witness(typesys::TransitionCache& cache);
 

@@ -8,9 +8,7 @@
 //   3-discerning ⇒ 2-recording                 (Proposition 18)
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
-#include <tuple>
 
 #include "hierarchy/discerning.hpp"
 #include "hierarchy/recording.hpp"
@@ -34,30 +32,13 @@ std::vector<GridCase> grid() {
   return cases;
 }
 
-// The five implications below ask up to four predicates per grid cell, and
-// neighbouring cells ask the same (type, n) again; the negative answers at
-// n=6 take seconds each. So each predicate runs once per test binary, and
-// every later ask reads this memo (gtest runs the cases on one thread).
-enum class Predicate { kRecording, kDiscerning };
-
-bool holds(Predicate predicate, const std::string& type_name, int n) {
-  static std::map<std::tuple<Predicate, std::string, int>, bool> memo;
-  const auto key = std::make_tuple(predicate, type_name, n);
-  if (const auto it = memo.find(key); it != memo.end()) return it->second;
-  const auto type = typesys::make_type(type_name);
-  const bool value = predicate == Predicate::kRecording ? is_recording(*type, n)
-                                                        : is_discerning(*type, n);
-  memo.emplace(key, value);
-  return value;
-}
-
 class Figure1Test : public ::testing::TestWithParam<GridCase> {
  protected:
   bool recording(int n) const {
-    return holds(Predicate::kRecording, GetParam().type_name, n);
+    return is_recording(*typesys::make_type(GetParam().type_name), n);
   }
   bool discerning(int n) const {
-    return holds(Predicate::kDiscerning, GetParam().type_name, n);
+    return is_discerning(*typesys::make_type(GetParam().type_name), n);
   }
 };
 

@@ -1,5 +1,5 @@
 // Hand-computed Q_X and R_{X,j} sets for concrete witnesses, checked against
-// the optimized class-DP computation.
+// the memoized computation.
 #include "hierarchy/qsets.hpp"
 
 #include <gtest/gtest.h>
@@ -33,8 +33,9 @@ TEST(QSetTest, SnWitnessSetsMatchPaper) {
   const StateId q0 = cache.intern({typesys::SnType::kWinnerB, 0});
   const Assignment assignment = one_vs_rest(/*opA=*/0, /*opB=*/1, n);
 
-  const auto q_a = q_set(cache, q0, assignment, kTeamA);
-  const auto q_b = q_set(cache, q0, assignment, kTeamB);
+  ReachMemo memo(cache);
+  const auto q_a = memo.q_set(q0, assignment, kTeamA).to_set();
+  const auto q_b = memo.q_set(q0, assignment, kTeamB).to_set();
 
   EXPECT_EQ(q_a.size(), static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
@@ -53,8 +54,9 @@ TEST(QSetTest, RegisterQSetsOverlap) {
   TransitionCache cache(reg, 2);
   const StateId q0 = cache.intern({kBottom});
   const Assignment assignment = one_vs_rest(0, 1, 2);
-  const auto q_a = q_set(cache, q0, assignment, kTeamA);
-  const auto q_b = q_set(cache, q0, assignment, kTeamB);
+  ReachMemo memo(cache);
+  const auto q_a = memo.q_set(q0, assignment, kTeamA).to_set();
+  const auto q_b = memo.q_set(q0, assignment, kTeamB).to_set();
   bool overlap = false;
   for (const StateId q : q_a) overlap = overlap || q_b.contains(q);
   EXPECT_TRUE(overlap);
@@ -70,8 +72,9 @@ TEST(QSetTest, CasQSetsDisjoint) {
   assignment.classes.push_back({kTeamB, 2, 1});  // CAS(⊥,3)
   assignment.team_size[0] = 1;
   assignment.team_size[1] = 2;
-  const auto q_a = q_set(cache, q0, assignment, kTeamA);
-  const auto q_b = q_set(cache, q0, assignment, kTeamB);
+  ReachMemo memo(cache);
+  const auto q_a = memo.q_set(q0, assignment, kTeamA).to_set();
+  const auto q_b = memo.q_set(q0, assignment, kTeamB).to_set();
   EXPECT_EQ(q_a.size(), 1u);  // only state {1}
   EXPECT_EQ(q_b.size(), 2u);  // states {2}, {3}
   for (const StateId q : q_a) EXPECT_FALSE(q_b.contains(q));
@@ -87,12 +90,11 @@ TEST(RSetTest, TestAndSetResponsesDiscern) {
   TransitionCache cache(tas, 2);
   const StateId q0 = cache.intern({0});
   Assignment assignment = one_vs_rest(0, 0, 2);
-  ResponseIntern responses;
-  const auto r_a = r_set(cache, q0, assignment, /*cls=*/0, kTeamA, responses);
-  const auto r_b = r_set(cache, q0, assignment, /*cls=*/0, kTeamB, responses);
+  const RespStateSet r_a = r_set_pairs(cache, q0, assignment, /*cls=*/0, kTeamA);
+  const RespStateSet r_b = r_set_pairs(cache, q0, assignment, /*cls=*/0, kTeamB);
   EXPECT_FALSE(r_a.empty());
   EXPECT_FALSE(r_b.empty());
-  for (const RPair pair : r_a) EXPECT_FALSE(r_b.contains(pair));
+  for (const RespState& pair : r_a) EXPECT_FALSE(r_b.contains(pair));
 }
 
 TEST(RSetTest, PairsVariantDecodesResponses) {

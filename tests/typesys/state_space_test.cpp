@@ -25,6 +25,17 @@ TEST(StateSpaceTest, EmptyReprIsAValidState) {
   EXPECT_EQ(space.intern({}), empty);
 }
 
+TEST(StateSpaceTest, ReprsSurviveRehashAndMove) {
+  // repr() reads the map's own keys, which must stay put as the map grows
+  // and when the space moves.
+  StateSpace space;
+  for (Value v = 0; v < 5000; ++v) ASSERT_EQ(space.intern({v, -v}), static_cast<StateId>(v));
+  const StateSpace moved = std::move(space);
+  for (Value v = 0; v < 5000; ++v) {
+    ASSERT_EQ(moved.repr(static_cast<StateId>(v)), (StateRepr{v, -v}));
+  }
+}
+
 TEST(TransitionCacheTest, AppliesAndMemoizes) {
   TestAndSetType tas;
   TransitionCache cache(tas, 2);
