@@ -10,6 +10,13 @@
 // re-checked with its symmetry declaration attached must shrink the visited
 // set without changing the verdict.
 //
+// A large tier follows the small instances: Sn(5) with 5 processes and crash
+// budget 2, 1,058,114 states, big enough to time the intern path (the small
+// instances run in milliseconds). It gets kParallelBFS rows at t=1 and t=4
+// only, with the t=4 speedup taken against t=1. Its label spells the type
+// "Sn[5]" so that a `--filter 'Sn('` run (the CI smoke) leaves it out;
+// `--filter 'Sn['` runs it alone.
+//
 // Plain chrono timing rather than Google Benchmark: each run is seconds long
 // and we want a speedup table, not per-iteration statistics. Every timed
 // configuration gets one untimed warmup run first (page cache, allocator
@@ -192,11 +199,16 @@ int main(int argc, char** argv) {
   instances.push_back(make_instance("readable-stack", 3, 2));
   instances.push_back(make_instance("Sn(3)", 3, 2));
   instances.push_back(make_instance("Sn(4)", 4, 1));
+  std::vector<Instance> large;
+  large.push_back(make_instance("Sn(5)", 5, 2));
+  large.back().label = "Sn[5] n=5 crashes=2 (1M tier)";
   if (!filter.empty()) {
-    std::erase_if(instances, [&](const Instance& instance) {
+    const auto unmatched = [&](const Instance& instance) {
       return instance.label.find(filter) == std::string::npos;
-    });
-    if (instances.empty()) {
+    };
+    std::erase_if(instances, unmatched);
+    std::erase_if(large, unmatched);
+    if (instances.empty() && large.empty()) {
       std::cerr << "--filter '" << filter << "' matches no instance\n";
       return 2;
     }
@@ -295,53 +307,66 @@ int main(int argc, char** argv) {
          automatic, sequential.seconds / automatic.seconds);
   }
 
+  // --- The large tier: one instance past a million states ----------------
+  for (const Instance& instance : large) {
+    const RunOutcome one = timed(instance, check::Strategy::kParallelBFS, 1, repeats);
+    emit(instance, "parallel t=1", one, 1.0);
+    const RunOutcome four = timed(instance, check::Strategy::kParallelBFS, 4, repeats);
+    if (four.clean != one.clean || four.visited != one.visited) {
+      verdicts_consistent = false;
+    }
+    emit(instance, "parallel t=4", four, one.seconds / four.seconds);
+  }
+
   // --- Symmetry reduction on the n=4 acceptance instance ------------------
   //
   // The Sn(4) n=4 team-consensus instance re-checked with its symmetry
   // declaration: interchangeable same-team roles canonicalize, so the
   // visited set must shrink (the verdict must not change). The row joins the
   // main array (emit writes into it); the summary gets its own object below.
-  const Instance& n4 = instances.back();
-  const RunOutcome plain = timed(n4, check::Strategy::kParallelBFS, 0, repeats);
-  const RunOutcome reduced =
-      timed(n4, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
-  const bool symmetry_ok =
-      reduced.clean == plain.clean && reduced.visited <= plain.visited;
-  verdicts_consistent = verdicts_consistent && symmetry_ok;
-  // Speedup baseline: the plain parallel run at the same resolved thread
-  // count, so the figure isolates what the reduction itself buys.
-  emit(n4, "parallel+symmetry", reduced,
-       plain.seconds > 0 ? plain.seconds / reduced.seconds : 0.0);
+  // A filter that keeps only the large tier skips this section.
+  std::string symmetry_summary;
+  if (!instances.empty()) {
+    const Instance& n4 = instances.back();
+    const RunOutcome plain = timed(n4, check::Strategy::kParallelBFS, 0, repeats);
+    const RunOutcome reduced =
+        timed(n4, check::Strategy::kParallelBFS, 0, repeats, /*symmetry=*/true);
+    const bool symmetry_ok =
+        reduced.clean == plain.clean && reduced.visited <= plain.visited;
+    verdicts_consistent = verdicts_consistent && symmetry_ok;
+    // Speedup baseline: the plain parallel run at the same resolved thread
+    // count, so the figure isolates what the reduction itself buys.
+    emit(n4, "parallel+symmetry", reduced,
+         plain.seconds > 0 ? plain.seconds / reduced.seconds : 0.0);
+    const double reduction =
+        plain.visited > 0 ? 1.0 - static_cast<double>(reduced.visited) /
+                                      static_cast<double>(plain.visited)
+                          : 0.0;
 
-  json.end_array();
-
-  json.key("canonicalization");
-  json.begin_object();
-  json.key_value("instance", n4.label);
-  json.key_value("visited_plain", plain.visited);
-  json.key_value("visited_reduced", reduced.visited);
-  json.key_value("reduction",
-                 plain.visited > 0
-                     ? 1.0 - static_cast<double>(reduced.visited) /
-                                 static_cast<double>(plain.visited)
-                     : 0.0);
-  json.key_value("canonical_hit_rate", reduced.stats.store.canonical_hit_rate());
-  json.key_value("verdict_preserved", reduced.clean == plain.clean);
-  json.end_object();
+    json.end_array();
+    json.key("canonicalization");
+    json.begin_object();
+    json.key_value("instance", n4.label);
+    json.key_value("visited_plain", plain.visited);
+    json.key_value("visited_reduced", reduced.visited);
+    json.key_value("reduction", reduction);
+    json.key_value("canonical_hit_rate", reduced.stats.store.canonical_hit_rate());
+    json.key_value("verdict_preserved", reduced.clean == plain.clean);
+    json.end_object();
+    symmetry_summary = "\nSymmetry reduction on " + n4.label + ": " +
+                       std::to_string(plain.visited) + " -> " +
+                       std::to_string(reduced.visited) + " states (" +
+                       fixed(100.0 * reduction, 1) + "% fewer)\n";
+  } else {
+    json.end_array();
+  }
 
   json.key_value("verdicts_consistent", verdicts_consistent);
   json.end_object();
   json_file << "\n";
 
   table.print(std::cout);
-  std::cout << "\nSymmetry reduction on " << n4.label << ": " << plain.visited
-            << " -> " << reduced.visited << " states ("
-            << fixed(plain.visited > 0
-                         ? 100.0 * (1.0 - static_cast<double>(reduced.visited) /
-                                              static_cast<double>(plain.visited))
-                         : 0.0,
-                     1)
-            << "% fewer)\n";
+  std::cout << symmetry_summary;
   if (!verdicts_consistent) {
     std::cout << "\nERROR: configurations disagreed on verdict or visited-state "
                  "count (or symmetry reduction grew the visited set).\n";

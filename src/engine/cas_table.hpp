@@ -138,6 +138,15 @@ class CasTable {
     }
   }
 
+  // Hints the cache to fetch `key`'s home slot in the live array, so a later
+  // insert or find overlaps that miss with other work (the hash-join
+  // prefetch pattern). Reads nothing but the live-array header; a growth in
+  // between only wastes the hint.
+  void prefetch(util::U128 key) const {
+    const Array* a = live_.load(std::memory_order_acquire);
+    __builtin_prefetch(&a->slots[bucket(key, a->mask)]);
+  }
+
   // True when `key` is present. Safe concurrently with inserts.
   bool contains(util::U128 key) const {
     std::uint64_t ignored = 0;
@@ -493,8 +502,10 @@ class CasTable {
     live_.store(raw, std::memory_order_seq_cst);
   }
 
-  std::atomic<Array*> live_{nullptr};
-  std::atomic<std::uint64_t> size_{0};
+  // Every probe reads live_, and every insert bumps size_: one line each, so
+  // inserts on one core never invalidate the line the others probe through.
+  alignas(64) std::atomic<Array*> live_{nullptr};
+  alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
   // rcons-lint: allow(hot-path-no-mutex) serializes growth (cold); never taken by inserts
   std::mutex growth_mu_;

@@ -17,6 +17,12 @@
 // thief's output buffer — the thief's own deque is never touched, which both
 // removes the historical double-lock (steal used to enqueue into the thief's
 // deque and then re-pop it) and the thief-side mutex acquisition entirely.
+//
+// The statistics cost no shared writes: each deque keeps its own push/pop/
+// steal tallies, updated under the lock the operation already holds (a steal
+// credits the victim's deque), and stats() sums them once per run. Only the
+// failed-steal counter is a shared atomic, on a line of its own, because the
+// workers read it to size their pop batches.
 #ifndef RCONS_ENGINE_FRONTIER_HPP
 #define RCONS_ENGINE_FRONTIER_HPP
 
@@ -61,33 +67,24 @@ class Frontier {
   // Pushes one item onto `worker`'s own deque. Thread-safe (stealers lock the
   // same deque), but `worker` must identify the calling worker.
   void push(int worker, WorkItem item) {
-    Deque& deque = *deques_[static_cast<std::size_t>(worker)];
-    {
-      // rcons-lint: allow(hot-path-no-mutex) single-item push is the slow API; batch paths amortize
-      std::lock_guard<std::mutex> lock(deque.mu);
-      deque.items.push_back(std::move(item));
-    }
-    push_batches_.fetch_add(1, std::memory_order_relaxed);
-    pushed_items_.fetch_add(1, std::memory_order_relaxed);
+    push_batch(worker, std::span<const WorkItem>(&item, 1));
   }
 
-  // Moves every item of `batch` onto `worker`'s own deque under one lock
-  // acquisition — the per-expansion submit path. The span's items are left
-  // moved-from.
-  void push_batch(int worker, std::span<WorkItem> batch) {
+  // Copies every item of `batch` onto `worker`'s own deque under one lock
+  // acquisition — the per-expansion submit path. All or nothing: when the
+  // deque cannot grow (std::bad_alloc) nothing was pushed, so the caller
+  // still holds every item of the batch.
+  void push_batch(int worker, std::span<const WorkItem> batch) {
     if (batch.empty()) return;
     Deque& deque = *deques_[static_cast<std::size_t>(worker)];
-    {
-      // No reserve: an exact-size reserve would defeat the vector's
-      // geometric growth and reallocate on every submit while the frontier
-      // ramps up; amortized push_back keeps steady-state pushes
-      // allocation-free.
-      // rcons-lint: allow(hot-path-no-mutex) one acquisition per pushed batch, amortized over batch size
-      std::lock_guard<std::mutex> lock(deque.mu);
-      for (WorkItem& item : batch) deque.items.push_back(std::move(item));
-    }
-    push_batches_.fetch_add(1, std::memory_order_relaxed);
-    pushed_items_.fetch_add(batch.size(), std::memory_order_relaxed);
+    // rcons-lint: allow(hot-path-no-mutex) one acquisition per pushed batch, amortized over batch size
+    std::lock_guard<std::mutex> lock(deque.mu);
+    // Insert of a trivially copyable range: it grows the vector (geometric
+    // growth, so steady-state pushes stay allocation-free) before copying
+    // anything, so a failed growth leaves the deque untouched.
+    deque.items.insert(deque.items.end(), batch.begin(), batch.end());
+    deque.push_batches += 1;
+    deque.pushed_items += batch.size();
   }
 
   // Moves up to `max` items into `out` (appended): the newest items of the
@@ -113,8 +110,8 @@ class Frontier {
       if (avail != 0) {
         const std::size_t take = avail < max ? avail : max;
         own.take_back(take, out);
-        pop_batches_.fetch_add(1, std::memory_order_relaxed);
-        popped_items_.fetch_add(take, std::memory_order_relaxed);
+        own.pop_batches += 1;
+        own.popped_items += take;
         return take;
       }
     }
@@ -134,10 +131,10 @@ class Frontier {
       if (take > max) take = max;
       from.take_front(take, out);
       if (stole != nullptr) *stole = true;
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      stolen_items_.fetch_add(take, std::memory_order_relaxed);
-      pop_batches_.fetch_add(1, std::memory_order_relaxed);
-      popped_items_.fetch_add(take, std::memory_order_relaxed);
+      from.steals += 1;
+      from.stolen_items += take;
+      from.pop_batches += 1;
+      from.popped_items += take;
       return take;
     }
     // The whole frontier was (momentarily) dry: the steal-pressure signal
@@ -196,13 +193,17 @@ class Frontier {
   };
   Stats stats() const {
     Stats stats;
-    stats.steals = steals_.load(std::memory_order_relaxed);
-    stats.stolen_items = stolen_items_.load(std::memory_order_relaxed);
     stats.failed_steals = failed_steals_.load(std::memory_order_relaxed);
-    stats.push_batches = push_batches_.load(std::memory_order_relaxed);
-    stats.pushed_items = pushed_items_.load(std::memory_order_relaxed);
-    stats.pop_batches = pop_batches_.load(std::memory_order_relaxed);
-    stats.popped_items = popped_items_.load(std::memory_order_relaxed);
+    for (const std::unique_ptr<Deque>& deque : deques_) {
+      // rcons-lint: allow(hot-path-no-mutex) sums the per-deque tallies once per run, after the workers joined
+      std::lock_guard<std::mutex> lock(deque->mu);
+      stats.steals += deque->steals;
+      stats.stolen_items += deque->stolen_items;
+      stats.push_batches += deque->push_batches;
+      stats.pushed_items += deque->pushed_items;
+      stats.pop_batches += deque->pop_batches;
+      stats.popped_items += deque->popped_items;
+    }
     return stats;
   }
 
@@ -217,6 +218,14 @@ class Frontier {
     mutable std::mutex mu;
     std::vector<WorkItem> items;
     std::size_t head = 0;  // live range is items[head, items.size())
+    // Stats tallies, guarded by `mu`: this deque's pushes and local pops,
+    // and the steals taken from it.
+    std::uint64_t push_batches = 0;
+    std::uint64_t pushed_items = 0;
+    std::uint64_t pop_batches = 0;
+    std::uint64_t popped_items = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t stolen_items = 0;
 
     std::size_t size() const { return items.size() - head; }
 
@@ -253,13 +262,10 @@ class Frontier {
   static constexpr std::size_t kCompactThreshold = 64;
 
   std::vector<std::unique_ptr<Deque>> deques_;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> stolen_items_{0};
-  std::atomic<std::uint64_t> failed_steals_{0};
-  std::atomic<std::uint64_t> push_batches_{0};
-  std::atomic<std::uint64_t> pushed_items_{0};
-  std::atomic<std::uint64_t> pop_batches_{0};
-  std::atomic<std::uint64_t> popped_items_{0};
+  // Written by a worker whose pops all came back empty, read before every
+  // pop: a line of its own, shared with neither the deque table nor a
+  // neighbouring object.
+  alignas(64) std::atomic<std::uint64_t> failed_steals_{0};
 };
 
 }  // namespace rcons::engine

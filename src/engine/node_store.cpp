@@ -307,14 +307,14 @@ Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
   return arena.cur;
 }
 
-NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
-                                    const std::vector<Value>& record, int arena_index,
-                                    CasTable::OpStats* stats) {
+NodeStore::Intern NodeStore::intern(util::U128 fingerprint, const Value* record,
+                                    std::size_t length, std::size_t fingerprinted,
+                                    int arena_index, CasTable::OpStats* stats) {
   RCONS_ASSERT(arena_index >= 0 &&
                static_cast<std::size_t>(arena_index) < arenas_.size());
+  RCONS_DCHECK(fingerprinted <= length);
   Arena& arena = *arenas_[static_cast<std::size_t>(arena_index)];
   Shard& shard = *shards_[shard_index(fingerprint)];
-  const std::size_t length = record.size();
 
   // The record copy is staged from the caller's private arena only inside
   // the claimed window — after the lock-free duplicate check — so a
@@ -328,7 +328,7 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
           header = arena_refill(arena, length + 1);
         }
         header[0] = static_cast<Value>(length);
-        std::memcpy(header + 1, record.data(), length * sizeof(Value));
+        std::memcpy(header + 1, record, length * sizeof(Value));
         arena.cur = header + 1 + length;
         arena.payload_values += length;
         return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(header));
@@ -337,9 +337,17 @@ NodeStore::Intern NodeStore::intern(util::U128 fingerprint,
 
   const Value* header =
       reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(found.value));
-  if (!found.inserted) arena.duplicate_hits += 1;
+  if (!found.inserted) {
+    arena.duplicate_hits += 1;
+    // Exact dedup audit: the slot's publish ordered the resident record
+    // before this read, so Debug builds can afford to look at it.
+    RCONS_DCHECK_MSG(static_cast<std::size_t>(header[0]) == length &&
+                         std::equal(record, record + fingerprinted, header + 1),
+                     "fingerprint collision: a duplicate hit's record differs from "
+                     "the resident one");
+  }
   return Intern{found.value, found.inserted, header + 1,
-                static_cast<std::uint32_t>(header[0])};
+                static_cast<std::uint32_t>(length)};
 }
 
 void NodeStore::fetch(NodeId id, std::vector<Value>& out) const {

@@ -218,11 +218,32 @@ class NodeStore {
     std::uint32_t length = 0;
   };
 
-  // Interns `record` under `fingerprint` using the caller's arena; returns
-  // the (existing or new) id and the resident payload view. Probe/CAS
-  // counters accumulate into `stats` when non-null.
+  // Interns the `length` values at `record` under `fingerprint` using the
+  // caller's arena; returns the (existing or new) id and the resident payload
+  // view. Probe/CAS counters accumulate into `stats` when non-null.
+  //
+  // A duplicate hit reads only its index slot: the returned length is the
+  // one given (records that share a fingerprint share their length), and the
+  // payload pointer is derived from the slot value without touching the
+  // arena. `fingerprinted` is the record prefix the fingerprint covers (the
+  // NodeCodec sidecar after it may differ between records of one state);
+  // RCONS_DCHECK builds compare that prefix of the resident record with
+  // `record` on every hit, so a fingerprint collision aborts there instead
+  // of merging two states.
+  Intern intern(util::U128 fingerprint, const typesys::Value* record,
+                std::size_t length, std::size_t fingerprinted, int arena = 0,
+                CasTable::OpStats* stats = nullptr);
   Intern intern(util::U128 fingerprint, const std::vector<typesys::Value>& record,
-                int arena = 0, CasTable::OpStats* stats = nullptr);
+                int arena = 0, CasTable::OpStats* stats = nullptr) {
+    return intern(fingerprint, record.data(), record.size(), record.size(), arena,
+                  stats);
+  }
+
+  // Hints the cache to fetch `fingerprint`'s home index slot ahead of its
+  // intern() (CasTable::prefetch).
+  void prefetch(util::U128 fingerprint) const {
+    shards_[shard_index(fingerprint)]->index.prefetch(fingerprint);
+  }
 
   // Copies record `id` into `out` (cleared first). Safe to call concurrently
   // with intern().

@@ -41,20 +41,19 @@ constexpr std::uint64_t kSequentialBatchTransitions = 1024;
 // skipped entirely. Duplicate successors cluster in time — siblings reaching
 // the same state, diamond interleavings — which is exactly what a small
 // recency cache captures.
+//
+// One array of keys, with the all-zero key marking an empty entry, so a probe
+// touches one cache line. A zero fingerprint therefore never hits; it just
+// takes the table probe.
 class DedupCache {
  public:
-  DedupCache() : keys_(kEntries), valid_(kEntries, 0) {}
+  DedupCache() : keys_(kEntries) {}
 
   bool seen(util::U128 key) const {
-    const std::size_t index = slot(key);
-    return valid_[index] != 0 && keys_[index] == key;
+    return (key.lo | key.hi) != 0 && keys_[slot(key)] == key;
   }
 
-  void remember(util::U128 key) {
-    const std::size_t index = slot(key);
-    keys_[index] = key;
-    valid_[index] = 1;
-  }
+  void remember(util::U128 key) { keys_[slot(key)] = key; }
 
  private:
   static constexpr std::size_t kEntries = std::size_t{1} << 12;
@@ -64,7 +63,24 @@ class DedupCache {
   }
 
   std::vector<util::U128> keys_;
-  std::vector<std::uint8_t> valid_;
+};
+
+// One event of an expansion, applied and encoded, waiting for the drain
+// (see ParallelExplorer::worker).
+struct Staged {
+  enum class Kind : std::uint8_t { kSuccessor, kViolation };
+  util::U128 fingerprint;
+  // kSuccessor: the record is stage_values[offset, offset + length), its
+  // first `fingerprinted` values fingerprinted (empty when `cached`).
+  // kViolation: `offset` indexes the staged violations.
+  std::uint32_t offset = 0;
+  std::uint32_t length = 0;
+  std::uint32_t fingerprinted = 0;
+  std::uint32_t event = 0;  // index into the expansion's events
+  Kind kind = Kind::kSuccessor;
+  bool cached = false;    // the DedupCache held the key when it was staged
+  bool decided = false;   // the event added a distinct output
+  bool permuted = false;  // the canonicalizer permuted the record
 };
 
 }  // namespace
@@ -351,13 +367,17 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
                               WorkerStats& local, bool sequential) {
   // Per-worker reusable state: one scratch node (restored from the parent's
   // record between successors — no Node copies), the record/event buffers,
-  // the orbit mask, the popped and successor batches, and the
-  // recently-inserted cache. Zero allocations per successor after warmup.
+  // the orbit mask, the staging buffers, the popped and successor batches,
+  // and the recently-inserted cache. Zero allocations per successor after
+  // warmup.
   NodeCodec codec(config_.symmetry_classes);
   Node parent = make_root(initial_memory_, initial_processes_, config_.properties);
   std::vector<Event> events;
   std::vector<typesys::Value> child_record;
   std::vector<std::uint8_t> orbit_skip;
+  std::vector<Staged> stage;
+  std::vector<typesys::Value> stage_values;
+  std::vector<sim::PropertyViolation> stage_violations;
   std::vector<WorkItem> batch;
   std::vector<WorkItem> successors;
   DedupCache cache;
@@ -382,6 +402,11 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
   std::uint64_t beats = 0;
   FaultPlan* const fault = config_.fault;
   bool first_violation = false;  // the sequential phase's exit on a violation
+
+  // The expansion in hand, for the allocation-failure hand-back below.
+  WorkItem item;
+  bool holding = false;    // `item` is popped and its pending slot not yet settled
+  bool continued = false;  // `successors` holds a continuation of `item`
 
   // Any allocation failure — fault-injected at the batch/intern sites or a
   // real bad_alloc out of index/arena/deque growth — lands here and becomes
@@ -453,8 +478,10 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         batch.clear();
         continue;
       }
-      const WorkItem item = batch.back();
+      item = batch.back();
       batch.pop_back();
+      holding = true;
+      continued = false;
 
       // The item's record view reads straight from the store arena — no
       // fetch lock, no copy (see NodeStore::Intern). decode() also captures
@@ -475,94 +502,160 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         local.transitions += orbit_skipped;
         if (is_terminal(parent)) local.terminal_states += 1;
       }
-      successors.clear();
+      stage.clear();
+      stage_values.clear();
+      stage_violations.clear();
+      std::size_t drained = 0;
       bool incomplete = false;
-      bool continued = false;  // a continuation took over the item's pending slot
       // Codec header: record[1] counts the distinct outputs so far.
       const auto parent_decisions = static_cast<std::size_t>(item.record[1]);
 
+      // Classifies the staged entries in event order: a violation is
+      // offered, a key the cache or the store already holds is a duplicate,
+      // and a new state takes the visited count, the cap check and a
+      // successor. Returns true when the expansion ends here: the sequential
+      // phase's first violation or first new child, or a truncation. Nothing
+      // after the entry that ends it is counted.
+      const auto drain = [&]() -> bool {
+        while (drained < stage.size()) {
+          const Staged& entry = stage[drained++];
+          const Event& event = events[entry.event];
+          local.transitions += 1;
+          if (entry.kind == Staged::Kind::kViolation) {
+            local.violation_edges += 1;
+            std::vector<Event> path = materialize_path(item.tail);
+            path.push_back(event);
+            offer_violation(std::move(path), std::move(stage_violations[entry.offset]));
+            if (sequential) {
+              first_violation = true;  // the DFS reports its first violation
+              incomplete = true;
+              return true;
+            }
+            continue;  // a violating edge is never expanded further
+          }
+          if (entry.decided) local.decisions += 1;
+          local.encodes += 1;
+          if (entry.permuted) local.canonical_hits += 1;
+          local.cache_probes += 1;
+          // Staged-as-cached, or interned by an earlier entry of this drain.
+          if (entry.cached || cache.seen(entry.fingerprint)) {
+            local.cache_hits += 1;
+            local.duplicates += 1;
+            continue;  // guaranteed duplicate: skip the table probe entirely
+          }
+          if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
+          const NodeStore::Intern interned =
+              store.intern(entry.fingerprint, stage_values.data() + entry.offset,
+                           entry.length, entry.fingerprinted, id, &local.ops);
+          cache.remember(entry.fingerprint);
+          if (!interned.inserted) {
+            local.duplicates += 1;
+            continue;
+          }
+          local.store_nodes += 1;
+          local.store_bytes +=
+              static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
+
+          const std::uint64_t count =
+              visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+          local.visited += 1;
+          const bool over_cap = count > config_.visited_cap();
+          if (sequential && !over_cap && entry.event + 1 < events.size()) {
+            // Depth-first: the rest of this expansion waits under the child.
+            successors.push_back(
+                WorkItem{item.record, item.length, entry.event + 1, item.tail});
+            continued = true;
+          }
+          // Even the state over the cap is queued: it is interned, and a
+          // checkpoint cut must hold every interned state not yet expanded.
+          successors.push_back(WorkItem{interned.record, interned.length, 0,
+                                        arena.add(event, item.tail)});
+          local.allocations_avoided += 2;  // inline frontier item + arena link
+          if (over_cap) {
+            record_truncation(item.tail, event);
+            incomplete = true;
+            return true;
+          }
+          if (sequential) return true;
+        }
+        return false;
+      };
+
+      // Stage every event: apply it, encode the successor into the flat
+      // staging buffer, and prefetch the home slot of each key the cache
+      // does not know, so the drain's table probes overlap their misses.
+      // The sequential phase drains after each event instead, which keeps
+      // its DFS order and encodes nothing past the first new child.
+      //
       // Between successors the scratch node diverges from the parent record
       // only where the previous event touched it: the shared flat fields
       // plus exactly one process (or all of them after a crash-all). restore
       // re-decodes just that — one program decode per successor instead of n.
       int dirty = NodeCodec::kDirtyNone;
-      for (std::uint32_t i = item.resume; i < events.size(); ++i) {
+      bool ended = false;
+      for (std::uint32_t i = item.resume; i < events.size() && !ended; ++i) {
         const Event& event = events[i];
         if (stop_.load(std::memory_order_relaxed)) {
           incomplete = true;
           break;
         }
-        local.transitions += 1;
         if (dirty != NodeCodec::kDirtyNone) {
           codec.restore(item.record, item.length, parent, dirty);
         }
         dirty = event.kind == Event::Kind::kCrashAll ? NodeCodec::kDirtyAll
                                                      : event.process;
+        Staged entry;
+        entry.event = i;
         if (auto broken = apply_event(parent, event, config_)) {
-          local.violation_edges += 1;
-          std::vector<Event> path = materialize_path(item.tail);
-          path.push_back(event);
-          offer_violation(std::move(path), std::move(*broken));
-          if (sequential) {
-            first_violation = true;  // the DFS reports its first violation
-            incomplete = true;
-            break;
+          entry.kind = Staged::Kind::kViolation;
+          entry.offset = static_cast<std::uint32_t>(stage_violations.size());
+          stage_violations.push_back(std::move(*broken));
+        } else {
+          entry.decided = parent.decisions.size() > parent_decisions;
+          // Per-process events leave n-1 blocks byte-identical to the parent
+          // record: patch-encode copies them instead of re-encoding programs.
+          const NodeCodec::Encoded encoded =
+              event.kind == Event::Kind::kCrashAll
+                  ? codec.encode(parent, child_record)
+                  : codec.encode_successor(item.record, item.length, parent,
+                                           event.process, child_record);
+          entry.fingerprint = encoded.fingerprint;
+          entry.permuted = encoded.permuted;
+          entry.cached = cache.seen(encoded.fingerprint);
+          if (!entry.cached) {
+            entry.offset = static_cast<std::uint32_t>(stage_values.size());
+            entry.length = static_cast<std::uint32_t>(child_record.size());
+            entry.fingerprinted = static_cast<std::uint32_t>(encoded.fingerprint_length);
+            if (stage_values.empty()) {
+              stage_values.swap(child_record);  // the first record moves in uncopied
+            } else {
+              stage_values.insert(stage_values.end(), child_record.begin(),
+                                  child_record.end());
+            }
+            if (!sequential) store.prefetch(encoded.fingerprint);
           }
-          continue;  // a violating edge is never expanded further
         }
-        if (parent.decisions.size() > parent_decisions) local.decisions += 1;
-        // Per-process events leave n-1 blocks byte-identical to the parent
-        // record: patch-encode copies them instead of re-encoding programs.
-        const NodeCodec::Encoded encoded =
-            event.kind == Event::Kind::kCrashAll
-                ? codec.encode(parent, child_record)
-                : codec.encode_successor(item.record, item.length, parent,
-                                         event.process, child_record);
-        local.encodes += 1;
-        if (encoded.permuted) local.canonical_hits += 1;
-        local.cache_probes += 1;
-        if (cache.seen(encoded.fingerprint)) {
-          local.cache_hits += 1;
-          local.duplicates += 1;
-          continue;  // guaranteed duplicate: skip the table probe entirely
+        stage.push_back(entry);
+        if (sequential) {
+          ended = drain();
+          stage_values.clear();  // drained: the next record moves in too
         }
-        if (fault != nullptr) fault->hit(FaultPlan::Site::kIntern);
-        const NodeStore::Intern interned =
-            store.intern(encoded.fingerprint, child_record, id, &local.ops);
-        cache.remember(encoded.fingerprint);
-        if (!interned.inserted) {
-          local.duplicates += 1;
-          continue;
-        }
-        local.store_nodes += 1;
-        local.store_bytes +=
-            static_cast<std::uint64_t>(interned.length) * sizeof(typesys::Value);
-
-        const std::uint64_t count =
-            visited_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-        local.visited += 1;
-        if (count > config_.visited_cap()) {
-          record_truncation(item.tail, event);
-          incomplete = true;
-          break;
-        }
-        if (sequential && i + 1 < events.size()) {
-          // Depth-first: the rest of this expansion waits under the child.
-          successors.push_back(WorkItem{item.record, item.length, i + 1, item.tail});
-          continued = true;
-        }
-        successors.push_back(WorkItem{interned.record, interned.length, 0,
-                                      arena.add(event, item.tail)});
-        local.allocations_avoided += 2;  // inline frontier item + arena link
-        if (sequential) break;
       }
+      if (!sequential) drain();
 
+      // One net pending update per expansion: the children join, and the
+      // item's own slot is released unless a continuation or a re-queue
+      // inherits it. One child replacing its parent changes nothing.
+      const std::uint64_t children = successors.size() - (continued ? 1 : 0);
+      const std::uint64_t released = incomplete || continued ? 0 : 1;
+      holding = false;
       if (!successors.empty()) {
-        const std::size_t children = successors.size() - (continued ? 1 : 0);
         local.batches += 1;
         local.batched_items += children;
         if (obs_cells_.active) obs_cells_.batch_size->record(obs_lane, children);
-        pending.fetch_add(children, std::memory_order_release);
+        if (children > released) {
+          pending.fetch_add(children - released, std::memory_order_release);
+        }
         frontier.push_batch(id, successors);
         successors.clear();
       }
@@ -572,7 +665,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         // already-interned successors dedup away, so nothing is lost and
         // visited counts stay exact.
         frontier.push(id, item);
-      } else if (!continued) {
+      } else if (children < released) {
         pending.fetch_sub(1, std::memory_order_release);
       }
       if (tracer != nullptr && !sequential && batch.empty()) {
@@ -593,6 +686,25 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
     local.transitions =
         local.visited + local.duplicates + local.violation_edges + local.orbit_skipped;
     request_stop(sim::StopReason::kMemory);
+    // Hand back what this worker holds — the successors interned so far, the
+    // interrupted item (unless a continuation stands in for it), the rest of
+    // the popped batch — so the frontier again holds every pending-counted
+    // item and a final checkpoint is a consistent cut. push_batch is all or
+    // nothing, so nothing is queued twice. A failure past the expansion's
+    // pending update (holding == false), or of the hand-back itself, leaves
+    // those items out of the cut.
+    try {
+      if (holding) {
+        if (!successors.empty()) {
+          pending.fetch_add(successors.size() - (continued ? 1 : 0),
+                            std::memory_order_release);
+          frontier.push_batch(id, successors);
+        }
+        if (!continued) frontier.push(id, item);
+      }
+      frontier.push_batch(id, batch);
+    } catch (const std::bad_alloc&) {
+    }
   }
 
   dcheck_transitions_identity(local);  // holds even when obs flushing is off
@@ -661,7 +773,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   Frontier frontier(num_threads_);
   NodeStore store(shard_bits_, 0, num_threads_);
   std::vector<PathArena> arenas(static_cast<std::size_t>(num_threads_));
-  std::atomic<std::uint64_t> pending{0};
+  PendingCount pending{0};
   std::vector<WorkerStats> worker_stats(static_cast<std::size_t>(num_threads_));
 
   // The root is always encoded — a resume checks its fingerprint against the

@@ -36,8 +36,11 @@
 // of shared_ptr allocations (engine/path_arena.hpp), and dedup probes hit
 // lock-free CAS-claimed slot tables (engine/cas_table.hpp) behind a small
 // per-worker recently-inserted fingerprint cache that short-circuits
-// duplicate probes before touching the shared tables at all.
-// ExplorerStats::hot counts the work saved and the contention observed.
+// duplicate probes before touching the shared tables at all. A parallel-phase
+// expansion encodes all of its successors first and prefetches their table
+// slots, then interns them in one drain, so the slot misses of one expansion
+// overlap (see worker()). ExplorerStats::hot counts the work saved and the
+// contention observed.
 //
 // Nodes are interned value records in a sharded NodeStore arena that doubles
 // as the visited set; frontier items carry record views, and each worker
@@ -83,6 +86,19 @@ struct ParallelExplorerConfig : sim::ExplorerConfig {
 
 // sequential_limit that never starts the parallel phase.
 inline constexpr std::uint64_t kSequentialOnly = ~std::uint64_t{0};
+
+// A value alone on its 64-byte cache line. The run's hot shared atomics —
+// the visited counter (one fetch_add per new state), the stop flag (read on
+// every event) and the pending-work counter (one update per expansion) —
+// each get one, so a write to one never invalidates the line another worker
+// is reading the others through.
+template <typename T>
+struct alignas(64) OwnLine : T {
+  using T::T;
+};
+using PendingCount = OwnLine<std::atomic<std::uint64_t>>;
+static_assert(sizeof(PendingCount) == 64 && alignof(PendingCount) == 64,
+              "the pending counter must fill exactly one cache line");
 
 class ParallelExplorer {
  public:
@@ -222,8 +238,11 @@ class ParallelExplorer {
   // is null). Resolved once in run(); workers only touch lane-private cells.
   ObsCells obs_cells_;
 
-  std::atomic<std::uint64_t> visited_count_{0};
-  std::atomic<bool> stop_{false};
+  OwnLine<std::atomic<std::uint64_t>> visited_count_{0};
+  OwnLine<std::atomic<bool>> stop_{false};
+  static_assert(sizeof(visited_count_) == 64 && alignof(decltype(visited_count_)) == 64 &&
+                    sizeof(stop_) == 64 && alignof(decltype(stop_)) == 64,
+                "visited_count_ and stop_ must each fill exactly one cache line");
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
 
   // First stop reason wins (holds sim::StopReason as int; 0 = kNone).

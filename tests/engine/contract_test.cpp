@@ -1,6 +1,7 @@
 // Verifies the util/assert.hpp contract layer actually executes: a
 // deliberately corrupted per-worker tally must trip the transitions-identity
-// DCHECK and abort. In builds where DCHECKs compile out (NDEBUG without
+// DCHECK and abort, and so must a fingerprint collision on a NodeStore
+// duplicate hit (the exact-dedup audit). In builds where DCHECKs compile out (NDEBUG without
 // RCONS_FORCE_DCHECK — RelWithDebInfo, the TSan/ASan jobs) the death test is
 // skipped; the static-analysis CI job builds Debug with
 // -DRCONS_FORCE_DCHECK=ON so the abort is observed there.
@@ -34,6 +35,27 @@ TEST(ContractTest, TransitionsIdentityViolationAborts) {
   bad.duplicates += 1;  // one duplicate tallied without its transition
   EXPECT_DEATH(ParallelExplorer::dcheck_transitions_identity(bad),
                "transitions identity violated");
+#else
+  GTEST_SKIP() << "RCONS_DCHECK compiled out (NDEBUG build without "
+                  "RCONS_FORCE_DCHECK); the static-analysis CI job runs this";
+#endif
+}
+
+TEST(ContractTest, FingerprintCollisionOnAHitAborts) {
+  // A duplicate hit reads only its slot in Release; Debug builds audit the
+  // resident record. Two records that share a fingerprint but differ inside
+  // the fingerprinted prefix must abort, while a difference past it (the
+  // NodeCodec sidecar) is a legitimate duplicate.
+  NodeStore store(0);
+  const util::U128 key{7, 9};
+  const std::vector<typesys::Value> resident = {1, 2, 3, 4};
+  store.intern(key, resident.data(), resident.size(), 3);
+  const std::vector<typesys::Value> other_sidecar = {1, 2, 3, 5};
+  EXPECT_FALSE(store.intern(key, other_sidecar.data(), other_sidecar.size(), 3).inserted);
+#if RCONS_DCHECK_ENABLED
+  const std::vector<typesys::Value> collision = {1, 2, 8, 4};
+  EXPECT_DEATH(store.intern(key, collision.data(), collision.size(), 3),
+               "fingerprint collision");
 #else
   GTEST_SKIP() << "RCONS_DCHECK compiled out (NDEBUG build without "
                   "RCONS_FORCE_DCHECK); the static-analysis CI job runs this";

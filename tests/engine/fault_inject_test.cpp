@@ -13,6 +13,7 @@
 #include "check/check.hpp"
 #include "check/scenario_spec.hpp"
 #include "check/spec_system.hpp"
+#include "support/interrupted_run.hpp"
 
 namespace rcons::engine {
 namespace {
@@ -160,6 +161,33 @@ TEST(FaultMatrixTest, EveryInjectionEndsInATypedVerdictAcrossThreadCounts) {
           << report.violation->description;
     }
   }
+}
+
+TEST(FaultMatrixTest, AllocFailureMidDrainLeavesAConsistentCut) {
+  // alloc@intern fires inside a drain, after earlier entries of the same
+  // expansion were interned: the failing worker hands those successors, the
+  // interrupted item and its popped batch back to the frontier.
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(parse_fault_plan("alloc@intern=400", plan, error)) << error;
+  test::expect_consistent_interruption(
+      "type=Sn(3) n=3 model=independent budget=2", 4,
+      [&plan](check::CheckRequest& request) { request.fault = &plan; },
+      sim::StopReason::kMemory, testing::TempDir() + "rcons_alloc_cut.ckpt");
+  EXPECT_TRUE(plan.fired());
+}
+
+TEST(FaultMatrixTest, StopFromAnotherWorkerMidExpansionLeavesAConsistentCut) {
+  // stop@batch flips the stop flag from whichever worker pops that batch;
+  // the other three observe it while staging and re-queue their items.
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(parse_fault_plan("stop@batch=40", plan, error)) << error;
+  test::expect_consistent_interruption(
+      "type=Sn(3) n=3 model=independent budget=2", 4,
+      [&plan](check::CheckRequest& request) { request.fault = &plan; },
+      sim::StopReason::kForcedStop, testing::TempDir() + "rcons_stop_cut.ckpt");
+  EXPECT_TRUE(plan.fired());
 }
 
 TEST(FaultMatrixTest, UnfiredPlanLeavesTheRunUntouched) {

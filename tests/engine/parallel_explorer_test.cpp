@@ -11,6 +11,7 @@
 
 #include "hierarchy/recording.hpp"
 #include "rc/team_consensus.hpp"
+#include "support/interrupted_run.hpp"
 #include "typesys/zoo.hpp"
 
 namespace rcons::engine {
@@ -281,6 +282,46 @@ TEST(ParallelExplorerTest, TruncatesAtMaxVisited) {
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->description.find("max_visited"), std::string::npos);
   EXPECT_TRUE(explorer.stats().truncated);
+}
+
+TEST(ParallelExplorerTest, CapInsideAStagedExpansionLeavesAConsistentCut) {
+  // At four workers every expansion stages all of its successors before one
+  // drain classifies them; a cap this far below the instance's size lands
+  // inside such a drain. Nothing after the state over the cap is counted,
+  // and each worker overshoots the cap by at most that one state.
+  const std::string line = "type=Sn(3) n=3 model=independent budget=2";
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kCap = 1500;
+  test::expect_consistent_interruption(
+      line, kThreads,
+      [](check::CheckRequest& request) { request.budget.max_visited = kCap; },
+      sim::StopReason::kVisitedCap, testing::TempDir() + "rcons_cap_cut.ckpt",
+      /*resumable=*/false);
+  check::CheckRequest request = test::parallel_spec_request(line, kThreads);
+  request.budget.max_visited = kCap;
+  const check::CheckReport report = check::check(std::move(request));
+  EXPECT_GT(report.stats.visited, static_cast<std::uint64_t>(kCap));
+  EXPECT_LE(report.stats.visited, static_cast<std::uint64_t>(kCap + kThreads));
+}
+
+TEST(ParallelExplorerTest, FrontierQueuesEveryStateOnceOnCompleteRuns) {
+  // kParallelBFS pushes the root and each new state exactly once and pops
+  // every push: pushed == popped == visited + 1, at any thread count.
+  auto type = typesys::make_type("Sn(3)");
+  rc::TeamConsensusSystem system =
+      rc::make_team_consensus_system(*type, 3, kInputA, kInputB);
+  sim::ExplorerConfig base;
+  base.crash_budget = 2;
+  base.properties.valid_outputs = {kInputA, kInputB};
+  for (const int threads : {1, 4}) {
+    ParallelExplorer explorer(system.memory, system.processes,
+                              parallel_config(base, threads));
+    ASSERT_FALSE(explorer.run().has_value());
+    const Frontier::Stats& frontier = explorer.frontier_stats();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(frontier.pushed_items, explorer.stats().visited + 1);
+    EXPECT_EQ(frontier.popped_items, explorer.stats().visited + 1);
+  }
 }
 
 TEST(ParallelExplorerTest, RunIsRepeatableOnSameInstance) {
