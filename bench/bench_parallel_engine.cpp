@@ -295,8 +295,8 @@ int main(int argc, char** argv) {
     }
 
     // What does kAuto do with this instance? (Its sequential phase and, on
-    // instances past sequential_limit, the switch to all workers are included
-    // in its wall time; no state is explored twice.)
+    // instances past engine::kAutoSequentialLimit states, the switch to all
+    // workers are included in its wall time; no state is explored twice.)
     const RunOutcome automatic = timed(instance, check::Strategy::kAuto, 0, repeats);
     if (automatic.clean != sequential.clean ||
         automatic.visited != sequential.visited) {

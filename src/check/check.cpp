@@ -32,7 +32,6 @@ CheckReport run_exhaustive(const CheckRequest& request, std::uint64_t sequential
   config.resume = request.resume;
   config.fault = request.fault;
   config.num_threads = num_threads;
-  config.shard_bits = request.shard_bits;
   config.sequential_limit = sequential_limit;
   engine::ParallelExplorer explorer(request.system.memory, request.system.processes,
                                     config);
@@ -132,7 +131,8 @@ CheckReport check(CheckRequest request) {
     obs::Span span(request.obs.tracer, 0, "check");
     switch (request.strategy) {
       case Strategy::kAuto:
-        report = run_exhaustive(request, request.sequential_limit, request.num_threads);
+        report = run_exhaustive(request, engine::kAutoSequentialLimit,
+                                request.num_threads);
         break;
       case Strategy::kSequentialDFS:
         report = run_exhaustive(request, engine::kSequentialOnly, 1);

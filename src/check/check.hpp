@@ -20,10 +20,12 @@
 //   kReplay        — sim::replay of `schedule`. Deterministic re-execution of
 //                    one schedule — e.g. a Violation::schedule from any other
 //                    strategy.
-//   kAuto          — the DFS for the first `sequential_limit` states, then
-//                    the other workers join on the same store and frontier.
+//   kAuto          — the DFS for the first engine::kAutoSequentialLimit
+//                    states (4096; its comment gives the measured depths of
+//                    every known first violation, 198 at most), then the
+//                    other workers join on the same store and frontier.
 //                    Small instances, and violating ones whose DFS meets a
-//                    violation within the limit, finish inside the DFS and
+//                    violation within the prefix, finish inside the DFS and
 //                    report as kSequentialDFS; the rest report as
 //                    kParallelBFS, with no state explored twice.
 //
@@ -90,12 +92,10 @@ struct CheckRequest {
   Budget budget;  // how hard to try; system.properties says what "correct" means
   Strategy strategy = Strategy::kAuto;
 
-  // kAuto: states explored depth-first by one worker before the rest start.
-  std::uint64_t sequential_limit = 200'000;
-
-  // kParallelBFS and kAuto (kSequentialDFS runs one worker):
+  // kParallelBFS and kAuto (kSequentialDFS runs one worker). The node
+  // store's shard count follows from it and budget.max_visited
+  // (engine::pick_shard_bits).
   int num_threads = 0;  // 0 = hardware concurrency
-  int shard_bits = -1;  // -1 = auto-tune from thread count and max_visited
 
   // kRandomized:
   std::uint64_t seed = 1;

@@ -8,9 +8,9 @@
 //   EMPTY ------------> CLAIMED ------------------------> PUBLISHED
 //            |                |
 //            |                '--> TOMBSTONE   (claim landed in a freshly
-//            '--> (CAS failed:     sealed array; the slot is dead and
-//                 another thread   probes walk past it)
-//                 owns the slot)
+//            '--> (CAS failed:     sealed array, or the payload threw;
+//                 another thread   the slot is dead and probes walk
+//                 owns the slot)   past it)
 //
 // An insert probes linearly over the tags; the key halves and the payload are
 // plain (non-atomic) fields written inside the CLAIMED window and made
@@ -51,7 +51,6 @@
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -176,24 +175,6 @@ class CasTable {
 
   std::size_t capacity() const {
     return live_.load(std::memory_order_acquire)->capacity;
-  }
-
-  // Frees the sealed arrays whose migration sweep has finished (those no
-  // longer reachable from the live array); they otherwise stay allocated
-  // until destruction. Caller contract: no concurrent operations — a
-  // lookup that loaded a `prev` pointer before the sweep detached it may
-  // still be probing the array.
-  void release_retired() {
-    // rcons-lint: allow(hot-path-no-mutex) quiescent maintenance, never per-insert
-    std::lock_guard<std::mutex> lock(growth_mu_);
-    std::vector<const Array*> chain;
-    for (const Array* a = live_.load(std::memory_order_acquire); a != nullptr;
-         a = a->prev.load(std::memory_order_acquire)) {
-      chain.push_back(a);
-    }
-    std::erase_if(arrays_, [&](const std::unique_ptr<Array>& array) {
-      return std::find(chain.begin(), chain.end(), array.get()) == chain.end();
-    });
   }
 
   // Quiescent iteration for checkpointing: visits every PUBLISHED slot of
@@ -359,7 +340,15 @@ class CasTable {
             }
             slot.key_lo = key.lo;
             slot.key_hi = key.hi;
-            slot.value = make_value();
+            try {
+              slot.value = make_value();
+            } catch (...) {
+              // The payload failed (the NodeStore arena's bad_alloc): kill
+              // the slot so probes walk past it instead of waiting forever
+              // on a claim nobody will publish. The key stays absent.
+              slot.tag.store(kTombstone, std::memory_order_release);
+              throw;
+            }
             // Only the claimer publishes: claimed -> published is the sole
             // legal transition out of a slot we won the CAS for.
             RCONS_DCHECK_MSG(slot.tag.load(std::memory_order_relaxed) == kClaimed,

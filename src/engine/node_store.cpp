@@ -377,10 +377,6 @@ NodeStore::Stats NodeStore::stats() const {
   return stats;
 }
 
-void NodeStore::release_retired() {
-  for (const std::unique_ptr<Shard>& shard : shards_) shard->index.release_retired();
-}
-
 NodeStore::LoadStats NodeStore::load_stats() const {
   LoadStats stats;
   stats.min_shard = ~0ULL;

@@ -402,6 +402,11 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
   std::uint64_t beats = 0;
   FaultPlan* const fault = config_.fault;
   bool first_violation = false;  // the sequential phase's exit on a violation
+  // A stop is honoured only once the root's expansion is over.
+  const auto stopping = [this] {
+    return stop_.load(std::memory_order_relaxed) &&
+           root_expanded_.load(std::memory_order_relaxed);
+  };
 
   // The expansion in hand, for the allocation-failure hand-back below.
   WorkItem item;
@@ -419,7 +424,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
         // pending-counted), so a checkpoint taken after the join still sees
         // every outstanding item; every worker leaves through this check, so
         // pending never reaching 0 cannot hang anyone.
-        if (stop_.load(std::memory_order_relaxed) || first_violation) break;
+        if (stopping() || first_violation) break;
         if (sequential &&
             visited_count_.load(std::memory_order_relaxed) >= sequential_limit_) {
           break;  // hand the DFS stack over to the parallel phase
@@ -469,8 +474,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
           batch_begin = tracer->now_us();
           if (stole) tracer->complete(trace_lane, "steal", pop_begin, batch_begin);
         }
-      } else if (stop_.load(std::memory_order_relaxed) ||
-                 pause_flag_.load(std::memory_order_relaxed)) {
+      } else if (stopping() || pause_flag_.load(std::memory_order_relaxed)) {
         // Hand the unprocessed remainder back (still pending-counted) so a
         // pause or post-stop checkpoint sees every outstanding item; the
         // next iteration parks or exits.
@@ -595,7 +599,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
       bool ended = false;
       for (std::uint32_t i = item.resume; i < events.size() && !ended; ++i) {
         const Event& event = events[i];
-        if (stop_.load(std::memory_order_relaxed)) {
+        if (stopping()) {
           incomplete = true;
           break;
         }
@@ -668,6 +672,8 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
       } else if (children < released) {
         pending.fetch_sub(1, std::memory_order_release);
       }
+      // Only the root and its DFS continuations have no path backlink.
+      if (item.tail == nullptr) root_expanded_.store(true, std::memory_order_relaxed);
       if (tracer != nullptr && !sequential && batch.empty()) {
         tracer->complete(trace_lane, "expand_batch", batch_begin, tracer->now_us());
       }
@@ -685,6 +691,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
     // directions.)
     local.transitions =
         local.visited + local.duplicates + local.violation_edges + local.orbit_skipped;
+    root_expanded_.store(true, std::memory_order_relaxed);  // nobody waits on it now
     request_stop(sim::StopReason::kMemory);
     // Hand back what this worker holds — the successors interned so far, the
     // interrupted item (unless a continuation stands in for it), the rest of
@@ -728,6 +735,8 @@ std::optional<sim::Violation> ParallelExplorer::run() {
   stats_ = sim::ExplorerStats{};
   visited_count_.store(0, std::memory_order_relaxed);
   stop_.store(false, std::memory_order_relaxed);
+  // A resumed frontier holds no root: stops apply from the start.
+  root_expanded_.store(config_.resume != nullptr, std::memory_order_relaxed);
   truncated_.store(false, std::memory_order_relaxed);
   stop_reason_.store(static_cast<int>(sim::StopReason::kNone),
                      std::memory_order_relaxed);
@@ -949,10 +958,6 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     run_worker(0, /*sequential=*/true);
     stayed_sequential_ = stop_.load(std::memory_order_relaxed) || has_violation_ ||
                          pending.load(std::memory_order_relaxed) == 0;
-    // Worker 0 returned and nobody else has started: the store is quiescent,
-    // so the index arrays its growth retired can go before the parallel
-    // phase grows the index further.
-    if (!stayed_sequential_) store.release_retired();
   }
   if (!stayed_sequential_) {
     if (obs_cells_.active) obs_cells_.num_threads->set(num_threads_);

@@ -16,9 +16,9 @@
 //     violation discovered. Nothing is re-explored across the switch.
 //
 // sequential_limit = 0 starts every worker at once (the check facade's
-// kParallelBFS); kSequentialOnly never starts them (kSequentialDFS). Runs that
-// checkpoint or resume always start in the parallel phase: the checkpoint
-// format has no continuations.
+// kParallelBFS); kSequentialOnly never starts them (kSequentialDFS); kAuto
+// uses kAutoSequentialLimit. Runs that checkpoint or resume always start in
+// the parallel phase: the checkpoint format has no continuations.
 //
 // Each reachable global state is claimed by exactly one worker and expanded
 // exactly once. On runs that complete (no truncation) the verdict
@@ -86,6 +86,15 @@ struct ParallelExplorerConfig : sim::ExplorerConfig {
 
 // sequential_limit that never starts the parallel phase.
 inline constexpr std::uint64_t kSequentialOnly = ~std::uint64_t{0};
+
+// sequential_limit of the check facade's kAuto: a violation the DFS meets
+// within it is reported exactly as kSequentialDFS reports it. Measured DFS
+// states to the first violation: tests/corpus 3, 6 (also k_set.spec) and 12;
+// default.spec is clean; the deepest of any violating check in the test suite
+// is 198 (Figure 2 without its team-size guard, rc/team_consensus_test.cpp),
+// then 166 (halting Tn(4), n=4, budget 2). 4096 is a 20x margin, and under
+// 0.4% of a million-state run on one core.
+inline constexpr std::uint64_t kAutoSequentialLimit = 4096;
 
 // A value alone on its 64-byte cache line. The run's hot shared atomics —
 // the visited counter (one fetch_add per new state), the stop flag (read on
@@ -244,6 +253,9 @@ class ParallelExplorer {
                     sizeof(stop_) == 64 && alignof(decltype(stop_)) == 64,
                 "visited_count_ and stop_ must each fill exactly one cache line");
   std::atomic<bool> truncated_{false};  // a truncation path was recorded
+  // Set once the root's expansion ends (or an allocation fails); until then
+  // the workers ignore stop_, so a truncated run covers the root's successors.
+  std::atomic<bool> root_expanded_{false};
 
   // First stop reason wins (holds sim::StopReason as int; 0 = kNone).
   std::atomic<int> stop_reason_{0};

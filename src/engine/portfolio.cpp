@@ -125,7 +125,6 @@ std::vector<ScenarioResult> Portfolio::run_all() const {
     }
     request.strategy = check::Strategy::kAuto;
     request.num_threads = config_.num_threads;
-    request.shard_bits = config_.shard_bits;
     request.obs = config_.obs;
 
     check::CheckReport report = check::check(std::move(request));

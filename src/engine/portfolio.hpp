@@ -63,7 +63,6 @@ struct PortfolioConfig {
   // not override them.
   check::Budget budget;
   int num_threads = 0;  // per scenario; 0 = hardware concurrency
-  int shard_bits = -1;  // -1 = auto-tune per scenario (engine::pick_shard_bits)
 
   // Observability sinks (obs/hooks.hpp), forwarded to every scenario's check.
   // run_all() resets the shared registry's check./engine./store./random./

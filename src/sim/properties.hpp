@@ -112,8 +112,9 @@ class PropertySet {
   static PropertySet none() { return PropertySet(EmptyTag{}); }
 
   // Adds one property. Asserts on contradictory sets (agreement combined
-  // with k-set agreement, k < 2, duplicate kinds).
-  void add(PropertySpec spec) {
+  // with k-set agreement, k < 2, duplicate kinds). Never inlined: g++ 12
+  // flags the push_back below with a false -Wstringop-overflow when it is.
+  [[gnu::noinline]] void add(PropertySpec spec) {
     RCONS_ASSERT_MSG(spec.kind != PropertyKind::kNone, "kNone is not a property");
     for (const PropertySpec& existing : specs_) {
       RCONS_ASSERT_MSG(existing.kind != spec.kind, "duplicate property kind");

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/parallel_explorer.hpp"
 #include "rc/team_consensus.hpp"
 #include "typesys/zoo.hpp"
 
@@ -105,20 +106,19 @@ TEST(CheckTest, AutoStaysSequentialOnSmallStateSpaces) {
 }
 
 TEST(CheckTest, AutoSwitchesToParallelAfterSequentialLimit) {
-  // A tiny sequential limit: the full state space (a few thousand states)
-  // exceeds it, so the other workers join mid-graph on the same store and
-  // frontier — and the run must still deliver the complete verdict with the
-  // sequential DFS's counts, interning no state twice.
-  CheckRequest sequential_request = team_request("Sn(2)", 2, 3);
+  // The full state space (6,081 states) exceeds kAuto's DFS prefix, so the
+  // other workers join mid-graph on the same store and frontier — and the
+  // run must still deliver the complete verdict with the sequential DFS's
+  // counts, interning no state twice.
+  CheckRequest sequential_request = team_request("Sn(3)", 3, 2);
   sequential_request.strategy = Strategy::kSequentialDFS;
   const CheckReport sequential = check(std::move(sequential_request));
-  ASSERT_GT(sequential.stats.visited, 100u);
+  ASSERT_GT(sequential.stats.visited, engine::kAutoSequentialLimit);
   EXPECT_EQ(sequential.threads_used, 1);
 
   for (const int threads : {2, 4}) {
-    CheckRequest request = team_request("Sn(2)", 2, 3);
+    CheckRequest request = team_request("Sn(3)", 3, 2);
     request.strategy = Strategy::kAuto;
-    request.sequential_limit = 100;
     request.num_threads = threads;
     const CheckReport report = check(std::move(request));
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -12,6 +12,7 @@
 
 #include "check/scenario_spec.hpp"
 #include "check/spec_system.hpp"
+#include "engine/parallel_explorer.hpp"
 
 namespace rcons::check {
 namespace {
@@ -28,8 +29,6 @@ CheckRequest request_for(const std::string& line, Strategy strategy) {
   request.strategy = strategy;
   request.num_threads = 4;
   request.sentinel_interval_ms = 5;
-  // kAuto switches phases early, so limits trip on either side of the switch.
-  request.sequential_limit = 100;
   return request;
 }
 
@@ -84,14 +83,15 @@ TEST(RobustnessTest, VisitedCapTruncationIsTypedOnBothBackends) {
 }
 
 TEST(RobustnessTest, VisitedCapTruncatesAfterThePhaseSwitch) {
-  // kSmall has 542 states: the cap lies past the sequential limit, so it
-  // trips while all four workers run.
-  CheckRequest request = request_for(kSmall, Strategy::kAuto);
-  request.budget.max_visited = 300;
+  // The cap lies past kAuto's DFS prefix (and below kLarge's state count),
+  // so it trips while all four workers run.
+  constexpr std::uint64_t kCap = engine::kAutoSequentialLimit + 1000;
+  CheckRequest request = request_for(kLarge, Strategy::kAuto);
+  request.budget.max_visited = static_cast<std::int64_t>(kCap);
   const CheckReport report = check(std::move(request));
   expect_typed_truncation(report, sim::StopReason::kVisitedCap);
   EXPECT_EQ(report.threads_used, 4);
-  EXPECT_GE(report.stats.visited, 300u);
+  EXPECT_GE(report.stats.visited, kCap);
 }
 
 TEST(RobustnessTest, TimeLimitTruncatesParallelWithPartialStats) {
@@ -145,28 +145,33 @@ TEST(RobustnessTest, SentinelsOffLeaveVerdictsComplete) {
 }
 
 TEST(RobustnessTest, WatchdogNeverFlagsWorkersThatHaveNotStarted) {
-  // A watchdog at its tightest cadence over a kAuto run that stays in the
-  // sequential phase throughout (kLarge has fewer states than the default
-  // limit): workers 1..3 never start, and an idle worker is never a stall.
-  // Worker 0 itself can still be descheduled for two intervals on a loaded
-  // machine; a report may then name it, and only it.
-  CheckRequest request = request_for(kLarge, Strategy::kAuto);
-  request.sequential_limit = CheckRequest{}.sequential_limit;
-  request.watchdog_stall_intervals = 2;
-  request.sentinel_interval_ms = 1;
-  const CheckReport report = check(std::move(request));
-  if (report.stats.stop_reason == sim::StopReason::kWatchdog) {
-    const std::string& dump = report.violation->description;
+  // A watchdog at its tightest cadence over a four-worker engine run that
+  // never leaves the sequential phase: workers 1..3 never start, and an idle
+  // worker is never a stall. Worker 0 itself can still be descheduled for two
+  // intervals on a loaded machine; a report may then name it, and only it.
+  const CheckRequest request = request_for(kLarge, Strategy::kSequentialDFS);
+  engine::ParallelExplorerConfig config;
+  static_cast<Budget&>(config) = request.budget;
+  config.properties = request.system.properties;
+  config.num_threads = 4;
+  config.sequential_limit = engine::kSequentialOnly;
+  config.watchdog_stall_intervals = 2;
+  config.sentinel_interval_ms = 1;
+  engine::ParallelExplorer explorer(request.system.memory, request.system.processes,
+                                    config);
+  const std::optional<sim::Violation> violation = explorer.run();
+  const sim::ExplorerStats& stats = explorer.stats();
+  if (stats.stop_reason == sim::StopReason::kWatchdog) {
+    const std::string& dump = violation->description;
     EXPECT_NE(dump.find("worker 0:"), std::string::npos) << dump;
     for (const char* idle : {"worker 1:", "worker 2:", "worker 3:"}) {
       EXPECT_EQ(dump.find(idle), std::string::npos) << dump;
     }
     return;
   }
-  EXPECT_TRUE(report.clean) << report.violation->description;
-  EXPECT_TRUE(report.complete);
-  EXPECT_FALSE(report.stats.truncated);
-  EXPECT_EQ(report.threads_used, 1);
+  EXPECT_FALSE(violation.has_value()) << violation->description;
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_TRUE(explorer.stayed_sequential());
 }
 
 TEST(RobustnessTest, TimeLimitSpecFieldsReachTheBudget) {

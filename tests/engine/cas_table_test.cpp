@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -105,6 +106,23 @@ TEST(CasTableTest, InsertWithMaterializesThePayloadExactlyOnce) {
   // The duplicate path never materializes a payload.
   EXPECT_FALSE(table.insert_with(key(5), make).inserted);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(CasTableTest, ThrowingPayloadLeavesTheKeyAbsentAndTheChainLive) {
+  // A payload that throws inside the claim window (the NodeStore arena's
+  // bad_alloc) must not leave its slot claimed: a later insert of the same
+  // key probes the same chain and would wait on that claim forever.
+  CasTable table;
+  const auto out_of_memory = []() -> std::uint64_t { throw std::bad_alloc(); };
+  EXPECT_THROW(table.insert_with(key(5), out_of_memory), std::bad_alloc);
+  EXPECT_FALSE(table.contains(key(5)));
+  EXPECT_EQ(table.size(), 0u);
+  const CasTable::Found retry = table.insert(key(5), 55);
+  EXPECT_TRUE(retry.inserted);
+  EXPECT_EQ(retry.value, 55u);
+  std::uint64_t value = 0;
+  EXPECT_TRUE(table.find(key(5), value));
+  EXPECT_EQ(value, 55u);
 }
 
 TEST(CasTableTest, OpStatsAccumulateCallerSide) {

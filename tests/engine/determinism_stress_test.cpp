@@ -10,7 +10,8 @@
 // the first violation its depth-first order meets, while the parallel phase
 // drains the graph and reports the globally lexicographically-lowest trace (on
 // halting-TAS that is a validity violation down an all-step(p0) path, not
-// the agreement violation the DFS trips over first).
+// the agreement violation the DFS trips over first). kAuto, whose DFS prefix
+// covers every corpus violation, must report the DFS's own.
 //
 // Doubles as the steady-state proof for the allocation-free hot path: the
 // new ExplorerStats::hot counters must show avoided allocations and real
@@ -25,6 +26,7 @@
 #include "check/check.hpp"
 #include "check/spec_system.hpp"
 #include "check/violation_io.hpp"
+#include "engine/parallel_explorer.hpp"
 #include "rc/team_consensus.hpp"
 #include "typesys/zoo.hpp"
 
@@ -115,6 +117,34 @@ TEST(DeterminismStressTest, CorpusViolationsAreIdenticalAcrossThreadCounts) {
         EXPECT_EQ(parallel.violation->schedule, first->schedule);
         EXPECT_EQ(parallel.stats.visited, *first_visited);
       }
+    }
+  }
+}
+
+TEST(DeterminismStressTest, AutoKeepsTheDfsReportOnEveryCorpusViolation) {
+  // Every corpus violation lies well inside kAuto's DFS prefix
+  // (kAutoSequentialLimit), so at any thread count kAuto never starts the
+  // other workers and reports exactly what kSequentialDFS reports.
+  const auto cases = corpus_cases();
+  ASSERT_GE(cases.size(), 3u) << "corpus not seeded";
+
+  for (const CorpusCase& corpus_case : cases) {
+    SCOPED_TRACE(corpus_case.name);
+    const check::CheckReport sequential = run(
+        corpus_case.system, corpus_case.budget, check::Strategy::kSequentialDFS, 0);
+    ASSERT_TRUE(sequential.violation.has_value());
+    ASSERT_LT(sequential.stats.visited, kAutoSequentialLimit);
+
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const check::CheckReport automatic =
+          run(corpus_case.system, corpus_case.budget, check::Strategy::kAuto, threads);
+      EXPECT_EQ(automatic.strategy, check::Strategy::kSequentialDFS);
+      EXPECT_EQ(automatic.threads_used, 1);
+      ASSERT_TRUE(automatic.violation.has_value());
+      EXPECT_EQ(automatic.violation->description, sequential.violation->description);
+      EXPECT_EQ(automatic.violation->schedule, sequential.violation->schedule);
+      EXPECT_EQ(automatic.stats.visited, sequential.stats.visited);
     }
   }
 }

@@ -44,7 +44,9 @@ TEST(PortfolioTest, CustomScenarioReportsViolation) {
     std::size_t decode(const typesys::Value*, std::size_t) { return 1; }
   };
 
-  Portfolio portfolio(PortfolioConfig{.num_threads = 2});
+  PortfolioConfig config;
+  config.num_threads = 2;
+  Portfolio portfolio(config);
   Scenario scenario;
   scenario.name = "broken/decide-own-input";
   scenario.crash_budget = 0;
@@ -67,7 +69,9 @@ TEST(PortfolioTest, CustomScenarioReportsViolation) {
 }
 
 TEST(PortfolioTest, VerdictTableHasOneRowPerScenario) {
-  Portfolio portfolio(PortfolioConfig{.num_threads = 1});
+  PortfolioConfig config;
+  config.num_threads = 1;
+  Portfolio portfolio(config);
   auto sn2 = typesys::make_type("Sn(2)");
   portfolio.add_team_consensus(*sn2, 2, sim::CrashModel::kIndependent, 1);
   portfolio.add_team_consensus(*sn2, 2, sim::CrashModel::kSimultaneous, 1);

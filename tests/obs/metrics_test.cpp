@@ -299,18 +299,17 @@ TEST(MetricsContractTest, ReplayPublishesScheduleTotals) {
 }
 
 TEST(MetricsContractTest, AutoPhaseSwitchKeepsCountersExact) {
-  // A tiny sequential limit makes kAuto switch phases mid-graph: the totals
-  // must cover both phases exactly once — equal to the report's stats and to
-  // a kSequentialDFS run's counts.
+  // Sn(3), n=3, budget 2 has 6,081 states, past kAuto's DFS prefix, so kAuto
+  // switches phases mid-graph: the totals must cover both phases exactly
+  // once — equal to the report's stats and to a kSequentialDFS run's counts.
   const check::CheckReport sequential = check::check([] {
-    check::CheckRequest request = team_request(2, 3);
+    check::CheckRequest request = team_request(3, 2);
     request.strategy = check::Strategy::kSequentialDFS;
     return request;
   }());
   for (const int threads : {2, 4}) {
     MetricsRegistry registry;
-    check::CheckRequest request = team_request(2, 3);
-    request.sequential_limit = 100;
+    check::CheckRequest request = team_request(3, 2);
     const check::CheckReport report =
         run_with_registry(std::move(request), check::Strategy::kAuto, threads, registry);
     SCOPED_TRACE("threads=" + std::to_string(threads));

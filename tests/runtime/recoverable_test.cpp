@@ -99,7 +99,9 @@ TEST(RTournamentTest, ThreadsAgreeAcrossSeedsAndCrashRates) {
       EXPECT_TRUE(report.agreement)
           << "seed " << seed << " crash_rate " << crash_per_mille;
       EXPECT_TRUE(report.valid_against(inputs)) << "seed " << seed;
-      if (crash_per_mille == 0) EXPECT_EQ(report.total_crashes, 0);
+      if (crash_per_mille == 0) {
+        EXPECT_EQ(report.total_crashes, 0);
+      }
     }
   }
 }
