@@ -177,6 +177,13 @@ class CasTable {
     return live_.load(std::memory_order_acquire)->capacity;
   }
 
+  // Bytes of the live slot array, and of the arrays sealed by growth, which
+  // stay allocated until the table is destroyed.
+  std::uint64_t slot_bytes() const { return capacity() * sizeof(Slot); }
+  std::uint64_t retired_bytes() const {
+    return retired_slots_.load(std::memory_order_relaxed) * sizeof(Slot);
+  }
+
   // Quiescent iteration for checkpointing: visits every PUBLISHED slot of
   // every epoch array still owned by the table (live and sealed), calling
   // `fn(key, value)`. Caller contract: no concurrent inserts (the engine
@@ -481,6 +488,7 @@ class CasTable {
     auto next = std::make_unique<Array>(head->capacity * 2);
     next->prev.store(head, std::memory_order_relaxed);
     rehashes_.fetch_add(1, std::memory_order_relaxed);
+    retired_slots_.fetch_add(head->capacity, std::memory_order_relaxed);
     // Order matters: seal first, then publish. A claimer that slipped into
     // `head` before the seal publishes normally and is visible to every
     // later prober (seq_cst handshake); one that reads the seal after its
@@ -496,6 +504,7 @@ class CasTable {
   alignas(64) std::atomic<Array*> live_{nullptr};
   alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
+  std::atomic<std::uint64_t> retired_slots_{0};  // slots of the sealed arrays
   // rcons-lint: allow(hot-path-no-mutex) serializes growth (cold); never taken by inserts
   std::mutex growth_mu_;
   std::vector<std::unique_ptr<Array>> arrays_;  // guarded by growth_mu_

@@ -16,7 +16,7 @@
 // schedules (the verdict and its typed identity are unaffected; a violation
 // found *before* the checkpoint is carried whole).
 //
-// File format (version 1, all integers little-endian):
+// File format (version 2, all integers little-endian):
 //
 //   "RCKP"  magic
 //   u32     version
@@ -28,9 +28,15 @@
 //                            orbit_skipped, encodes, canonical_hits,
 //                            checkpoints_written
 //   u8      has_violation    (+ description, property, param, schedule)
-//   u64     node count       then per node: fp.lo, fp.hi, u32 len, i64[len]
+//   u64     node count       then per node: fp.lo, fp.hi, u32 len, u64[len]
+//                            — the record's packed NodeCodec words
+//                            (engine/node_store.hpp "Record layout")
 //   u64     frontier count   then per item: u64 node index
 //   u32     CRC-32 of everything above
+//
+// Version 1 stored each record as its unpacked i64 Values; the loader
+// reports such a file as kCorrupt ("unsupported version 1") rather than
+// misreading its records as packed words.
 //
 // Durability protocol: serialize to memory, write `path + ".tmp"`, flush,
 // rename over `path`. A crash mid-write leaves the previous checkpoint
@@ -52,7 +58,7 @@ namespace rcons::engine {
 class FaultPlan;
 
 struct CheckpointData {
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint64_t config_hash = 0;
   std::string label;  // e.g. the formatted scenario line; validated by the CLI
@@ -79,7 +85,7 @@ struct CheckpointData {
 
   struct Node {
     util::U128 fp{};
-    std::vector<std::int64_t> values;  // full NodeCodec record
+    std::vector<std::int64_t> values;  // full packed NodeCodec record
   };
   std::vector<Node> nodes;
   std::vector<std::uint64_t> frontier;  // indices into `nodes`

@@ -145,8 +145,7 @@ void encode_node(const Node& node, std::vector<Value>& scratch) {
 
 util::U128 fingerprint_values(const Value* data, std::size_t size) {
   // One sweep advancing both 64-bit lanes; the length is folded in at the
-  // end (FpStream::finish) so the same stream can absorb the encoding
-  // incrementally while it is being produced.
+  // end (FpStream::finish).
   FpStream fp;
   fp.absorb(data, size);
   return fp.finish(size);

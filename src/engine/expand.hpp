@@ -128,15 +128,14 @@ inline void encode_process_block(const Node& node, std::size_t i,
 }
 
 // Canonical encoding of the node: header + every process block, in process
-// order. Exactly the prefix NodeCodec fingerprints when no symmetry is
-// declared. `scratch` is caller-provided to avoid per-node allocation.
+// order. Exactly the values whose packed form NodeCodec fingerprints when no
+// symmetry is declared. `scratch` is caller-provided to avoid per-node
+// allocation.
 void encode_node(const Node& node, std::vector<typesys::Value>& scratch);
 
-// Streaming form of the node fingerprint: both 64-bit hash lanes absorb
-// values as they are appended to the encoding (the NodeCodec feeds
-// each record segment right after writing it, while it is still cache-hot),
-// and the encoded length is folded in only at finish(). One pass produces
-// record + hash with no separate fingerprint sweep.
+// The node fingerprint: both 64-bit hash lanes absorb 64-bit words (the
+// NodeCodec feeds it a record's packed prefix words), and the word count is
+// folded in only at finish().
 struct FpStream {
   std::uint64_t lo = 0x2545f4914f6cdd1dULL;
   std::uint64_t hi = 0x6a09e667f3bcc909ULL;
@@ -168,9 +167,8 @@ struct FpStream {
   }
 };
 
-// Fingerprint of an already-encoded canonical prefix (== FpStream absorbing
-// the whole prefix): the NodeCodec's reference sweep after a canonicalizing
-// permutation (engine/node_store.hpp).
+// FpStream over `size` words in one sweep: the NodeCodec's fingerprint of a
+// packed record prefix (engine/node_store.hpp).
 util::U128 fingerprint_values(const typesys::Value* data, std::size_t size);
 
 // Deterministic total order on events / event paths, matching the enumeration

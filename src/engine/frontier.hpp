@@ -184,6 +184,7 @@ class Frontier {
     std::uint64_t pushed_items = 0;   // items across those pushes
     std::uint64_t pop_batches = 0;    // pop_batch calls that returned items
     std::uint64_t popped_items = 0;   // items across those pops
+    std::uint64_t bytes = 0;          // deque storage held (capacity, not size)
 
     double avg_push_batch() const {
       return push_batches == 0 ? 0.0
@@ -203,6 +204,7 @@ class Frontier {
       stats.pushed_items += deque->pushed_items;
       stats.pop_batches += deque->pop_batches;
       stats.popped_items += deque->popped_items;
+      stats.bytes += deque->items.capacity() * sizeof(WorkItem);
     }
     return stats;
   }

@@ -2,9 +2,9 @@
 // rcons-lint: hot-path
 //
 // Cloning `Memory` plus N type-erased `Process` objects per successor would
-// dominate expansion. Instead a node is its canonical encoding: a flat
-// `std::vector<typesys::Value>` record interned once in a per-worker bump
-// arena, keyed by the node's 128-bit fingerprint through a lock-free
+// dominate expansion. Instead a node is its canonical encoding, packed into
+// a few 64-bit words (see "Record layout") and interned once in a per-worker
+// bump arena, keyed by the node's 128-bit fingerprint through a lock-free
 // CAS-claimed slot index (engine/cas_table.hpp). The store doubles as the
 // visited set (interning *is* deduplication), frontier items carry record
 // views instead of owning nodes, and expansion decodes a record into a
@@ -12,7 +12,7 @@
 // sim/process.hpp) — zero allocations, zero program clones, and zero locks
 // per successor on both the hit and the miss path.
 //
-// Record layout (NodeCodec):
+// Record layout (NodeCodec). A node's *Value image* is
 //
 //   [crashes_used, ndecisions, decisions...]    header (sorted distinct outputs)
 //   [registers..., object states...]            Memory::encode
@@ -22,15 +22,29 @@
 //                                               per-process outputs)
 //   [steps_in_run...]                           sidecar, one value per process
 //
-// Everything except the sidecar is the canonical encoding the fingerprint
-// covers — byte-for-byte the same values `engine::encode_node` produces, the
-// full-record key of the test-only reference explorer
-// (tests/support/reference_explorer.hpp). The sidecar (per-run step counts
-// for the recoverable-wait-freedom bound) is intentionally outside the
-// fingerprint: the first path to reach a state fixes its step counts. The
-// fingerprint is computed *during* encoding
-// (engine::FpStream): each record segment is absorbed right after it is
-// written, so the separate fingerprint sweep of the record is gone.
+// whose part before the sidecar is byte-for-byte the values
+// `engine::encode_node` produces, the full-record key of the test-only
+// reference explorer (tests/support/reference_explorer.hpp). The stored
+// record is that image, its blocks in canonical order (see below), *packed*
+// as a byte stream into little-endian 64-bit words (pack_record):
+//
+//   prefix:  varint(value count), then one code per value, zero-padded to a
+//            word boundary
+//   sidecar: one code per process step count, zero-padded to a word
+//
+// A value's code is the LEB128 varint of its zigzag form shifted up by two,
+// with the two bottom codes given to kBottom and kAck: ⊥, ACK and every value
+// in [-63, 62] take one byte, and the coding is injective over all of
+// int64_t. Almost every value of a node (program counters, pids, the inputs
+// 101/202, step counts) fits one or two bytes, so a record holds ~5 words
+// where the image holds ~26. The leading count keeps the zero padding from
+// hiding a trailing 0 value.
+//
+// The fingerprint covers the packed prefix words (FpStream over them); the
+// sidecar (per-run step counts for the recoverable-wait-freedom bound) is
+// intentionally outside it: the first path to reach a state fixes its step
+// counts. Because the sidecar is packed too, two records of one state may
+// differ in their sidecar words and in how many there are.
 //
 // Symmetry reduction: a `Canonicalizer` built from a symmetry declaration
 // (ExplorerConfig::symmetry_classes) sorts the per-process blocks of each
@@ -57,6 +71,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -77,13 +92,14 @@ class Canonicalizer {
   // True when at least one class has two or more members.
   bool active() const { return !groups_.empty(); }
 
-  // `record` holds a full NodeCodec record whose per-process blocks span
-  // [block_offsets[i], block_offsets[i+1]) and whose sidecar occupies the
-  // final n values. Reorders same-class blocks (and their sidecar entries)
-  // into sorted order. Returns true when a non-identity permutation was
-  // applied (a canonicalization "hit").
-  bool canonicalize(std::vector<typesys::Value>& record,
-                    const std::vector<std::size_t>& block_offsets);
+  // The canonical order of a node's per-process blocks, given each
+  // process's block values and sidecar step count: sets order[i] to the
+  // process whose block (and step count) goes to position i. Same-class
+  // blocks are sorted by (block values, step count); everything else keeps
+  // its place. Returns true when the order is not the identity (a
+  // canonicalization "hit").
+  bool order(const std::vector<std::span<const typesys::Value>>& blocks,
+             const std::int64_t* steps, std::vector<int>& order);
 
   // Stabilizer orbits of a *canonical* record: marks skip[p] = 1 for every
   // same-class process whose block and sidecar step count equal those of an
@@ -99,23 +115,36 @@ class Canonicalizer {
  private:
   std::size_t num_processes_ = 0;
   std::vector<std::vector<int>> groups_;  // classes with >= 2 members
-  std::vector<int> order_;                // scratch: block source per position
   std::vector<int> sorted_;               // scratch: one class being sorted
-  std::vector<typesys::Value> scratch_;   // scratch: rebuilt record
 };
+
+// Packs a Value image into record words (see "Record layout" above):
+// `prefix_count` values, then `sidecar_count` values, appended to `out`.
+// Returns the number of words the prefix takes (what the fingerprint covers).
+std::size_t pack_record(const typesys::Value* values, std::size_t prefix_count,
+                        std::size_t sidecar_count, std::vector<typesys::Value>& out);
+
+// Inverse of pack_record: replaces `out` with the image of the `size`-word
+// record at `words`, whose sidecar holds `sidecar_count` values, and returns
+// the prefix value count. Never reads past `size` words: a record cut short
+// or ending inside a varint dies with "truncated node record".
+std::size_t unpack_record(const typesys::Value* words, std::size_t size,
+                          std::size_t sidecar_count, std::vector<typesys::Value>& out);
 
 // Encodes nodes into interned records and decodes records back into a
 // structurally compatible scratch node. One codec per worker (it owns scratch
 // buffers); all codecs of a run must share the same symmetry declaration.
 //
-// decode() additionally captures the record's *layout* (per-process block
-// offsets), which unlocks two per-successor fast paths against that record:
+// decode() unpacks the record once into a codec-owned Value image and
+// captures its *layout* (per-process block offsets), which unlocks two
+// per-successor fast paths against that record:
 //   * restore() — refill only the shared header/memory/sidecar plus the one
 //     process block a previous event dirtied, instead of decoding all n
 //     process programs again;
-//   * encode_successor() — build a successor's record by memcpy-ing the n-1
-//     unchanged process blocks straight from the parent record, encoding
-//     only the stepped/crashed process.
+//   * encode_successor() — encode only the stepped/crashed process's block;
+//     the n-1 unchanged blocks are read from the parent's image to find the
+//     canonical order, and their code bytes are copied straight from the
+//     parent's packed record.
 // Both are pure record-level optimizations: the resulting records and
 // fingerprints are identical to full decode()+encode().
 class NodeCodec {
@@ -131,35 +160,36 @@ class NodeCodec {
 
   struct Encoded {
     util::U128 fingerprint;
-    std::size_t fingerprint_length = 0;  // record prefix the fingerprint covers
+    std::size_t fingerprint_length = 0;  // record prefix words the fingerprint covers
     bool permuted = false;               // canonicalizer applied a permutation
   };
 
-  // Writes the full record (canonical encoding + sidecar) for `node` into
-  // `record`, fingerprinting the canonical prefix in the same pass.
+  // Writes the packed record (canonical prefix + sidecar) for `node` into
+  // `record` and fingerprints its prefix words.
   Encoded encode(const Node& node, std::vector<typesys::Value>& record);
 
   // Like encode(), but every process block except `changed_process` is
-  // copied verbatim from `parent` (the record most recently decode()d by
-  // this codec — its captured layout supplies the block spans). The header,
-  // memory, changed block, and sidecar come from `node`.
+  // taken from `parent`, which must be the record most recently decode()d
+  // by this codec: its values from the decoded image, its codes from the
+  // packed words. The header, memory, changed block, and sidecar come from
+  // `node`.
   Encoded encode_successor(const typesys::Value* parent, std::size_t parent_size,
                            const Node& node, int changed_process,
                            std::vector<typesys::Value>& record);
 
   // Restores `out` — which must be structurally a copy of the run's root
   // (same memory layout, same programs) — from a record produced by encode().
-  // Captures the record's layout for restore()/encode_successor()/
+  // Keeps the record's image and layout for restore()/encode_successor()/
   // orbit_skip_mask() against the same record.
   void decode(const typesys::Value* record, std::size_t size, Node& out);
 
   // Partial re-decode of the record last passed to decode(): always refills
   // the header, decisions, memory, per-process scalar fields and sidecar
-  // (cheap flat reads), but re-decodes only the program state of process
-  // `dirty` (kDirtyNone: none; kDirtyAll: delegates to decode(), refreshing
-  // the layout). Between successors of one expansion exactly one process —
-  // the previous event's target — is dirty, so this replaces n program
-  // decodes with one.
+  // (cheap flat reads of the image), but re-decodes only the program state
+  // of process `dirty` (kDirtyNone: none; kDirtyAll: delegates to decode(),
+  // refreshing the layout). Between successors of one expansion exactly one
+  // process — the previous event's target — is dirty, so this replaces n
+  // program decodes with one.
   void restore(const typesys::Value* record, std::size_t size, Node& out,
                int dirty);
 
@@ -171,13 +201,32 @@ class NodeCodec {
   bool canonicalizing() const { return canonicalizer_.active(); }
 
  private:
-  Canonicalizer canonicalizer_;
-  std::vector<std::size_t> offsets_;  // scratch: per-process block offsets
+  // Packs the node whose header values open `build_` and whose blocks are
+  // `blocks_`, in canonical order, into `record` and fingerprints its
+  // prefix. Blocks other than `changed` come from the decoded record, and
+  // their code bytes are copied from it; `changed` == n codes every block.
+  Encoded emit(const Node& node, std::size_t header_count, std::size_t changed,
+               std::vector<typesys::Value>& record);
 
-  // Layout of the record most recently decode()d: where the process blocks
-  // and the sidecar live. Valid until the next decode().
-  std::size_t header_end_ = 0;                 // first process block offset
-  std::vector<std::size_t> block_offsets_;     // n+1 entries; [n] = sidecar
+  Canonicalizer canonicalizer_;
+  // Scratch of the node being encoded: its header and freshly encoded
+  // blocks, every block's values, the canonical order, and the codes.
+  std::vector<typesys::Value> build_;
+  std::vector<std::size_t> offsets_;
+  std::vector<std::span<const typesys::Value>> blocks_;
+  std::vector<int> order_;
+  std::vector<unsigned char> bytes_;
+
+  // The record most recently decode()d: its byte stream, its image, where
+  // the image's process blocks and sidecar live, and where each prefix
+  // value's code starts in the stream. Valid until the next decode().
+  const typesys::Value* decoded_ = nullptr;
+  std::size_t decoded_size_ = 0;
+  const unsigned char* parent_bytes_ = nullptr;
+  std::vector<typesys::Value> swapped_;  // the stream, on big-endian hosts
+  std::vector<typesys::Value> image_;
+  std::vector<std::size_t> block_offsets_;  // n+1 entries; [n] = sidecar
+  std::vector<std::uint32_t> code_starts_;  // prefix count + 1 entries
 };
 
 // Interning store: record payloads live in per-worker chunked bump arenas,
@@ -222,14 +271,15 @@ class NodeStore {
   // caller's arena; returns the (existing or new) id and the resident payload
   // view. Probe/CAS counters accumulate into `stats` when non-null.
   //
-  // A duplicate hit reads only its index slot: the returned length is the
-  // one given (records that share a fingerprint share their length), and the
-  // payload pointer is derived from the slot value without touching the
-  // arena. `fingerprinted` is the record prefix the fingerprint covers (the
-  // NodeCodec sidecar after it may differ between records of one state);
-  // RCONS_DCHECK builds compare that prefix of the resident record with
-  // `record` on every hit, so a fingerprint collision aborts there instead
-  // of merging two states.
+  // A duplicate hit reads only its index slot: the payload pointer is
+  // derived from the slot value without touching the arena, and the
+  // returned length is the one given. `fingerprinted` is the record prefix
+  // the fingerprint covers; the NodeCodec sidecar after it may differ
+  // between records of one state, in its words and in their number, so on a
+  // hit the view is only good for identity — callers decode inserted
+  // records only. RCONS_DCHECK builds compare that prefix of the resident
+  // record with `record` on every hit, so a fingerprint collision aborts
+  // there instead of merging two states.
   Intern intern(util::U128 fingerprint, const typesys::Value* record,
                 std::size_t length, std::size_t fingerprinted, int arena = 0,
                 CasTable::OpStats* stats = nullptr);
@@ -255,11 +305,22 @@ class NodeStore {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_arenas() const { return static_cast<int>(arenas_.size()); }
 
+  // Exact at quiescence.
   struct Stats {
     std::uint64_t nodes = 0;
-    std::uint64_t value_bytes = 0;     // payload bytes across all records
+    // Payload bytes across all records, without the per-record length
+    // header. Records are packed NodeCodec words, so this (and the
+    // `store.value_bytes` counter) counts 8 bytes per packed word, not per
+    // node value.
+    std::uint64_t value_bytes = 0;
     std::uint64_t duplicate_hits = 0;  // interns that found the key present
     std::uint64_t rehashes = 0;        // index growth epochs across shards
+    // Memory held: arena chunks allocated (headers and chunk-end slack
+    // included), the live index arrays, and the index arrays sealed by
+    // growth (kept until the store is destroyed).
+    std::uint64_t record_bytes = 0;
+    std::uint64_t slot_bytes = 0;
+    std::uint64_t retired_bytes = 0;
   };
   Stats stats() const;
 
@@ -309,7 +370,7 @@ class NodeStore {
  private:
   // Fixed-capacity chunks keep record payloads contiguous without ever
   // moving (ids and payload addresses are stable once written). A record is
-  // stored as [length][values...]; the id is the header's address.
+  // stored as [length][words...]; the id is the header's address.
   static constexpr std::size_t kChunkValues = std::size_t{1} << 14;
 
   // One per interning worker; cache-line separated so two workers' bump
@@ -318,6 +379,7 @@ class NodeStore {
     typesys::Value* cur = nullptr;
     typesys::Value* end = nullptr;
     std::uint64_t payload_values = 0;  // record values staged (excl. headers)
+    std::uint64_t chunk_values = 0;    // values in the chunks this arena took
     std::uint64_t duplicate_hits = 0;
   };
 

@@ -69,6 +69,11 @@ struct ObsCells {
   obs::Gauge* frontier_pending = nullptr;
   obs::Gauge* visited_cap = nullptr;
   obs::Gauge* num_threads = nullptr;
+  obs::Gauge* store_record_bytes = nullptr;
+  obs::Gauge* table_slot_bytes = nullptr;
+  obs::Gauge* table_retired_bytes = nullptr;
+  obs::Gauge* path_arena_bytes = nullptr;
+  obs::Gauge* frontier_bytes = nullptr;
 
   obs::Histogram* batch_size = nullptr;
 
@@ -100,6 +105,11 @@ struct ObsCells {
     cells.frontier_pending = &registry->gauge("engine.frontier_pending");
     cells.visited_cap = &registry->gauge("engine.visited_cap");
     cells.num_threads = &registry->gauge("engine.num_threads");
+    cells.store_record_bytes = &registry->gauge("store.record_bytes");
+    cells.table_slot_bytes = &registry->gauge("table.slot_bytes");
+    cells.table_retired_bytes = &registry->gauge("table.retired_bytes");
+    cells.path_arena_bytes = &registry->gauge("path_arena.bytes");
+    cells.frontier_bytes = &registry->gauge("frontier.bytes");
     cells.batch_size = &registry->histogram("engine.batch_size");
     return cells;
   }

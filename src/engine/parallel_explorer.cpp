@@ -70,8 +70,8 @@ class DedupCache {
 struct Staged {
   enum class Kind : std::uint8_t { kSuccessor, kViolation };
   util::U128 fingerprint;
-  // kSuccessor: the record is stage_values[offset, offset + length), its
-  // first `fingerprinted` values fingerprinted (empty when `cached`).
+  // kSuccessor: the packed record is stage_values[offset, offset + length),
+  // its first `fingerprinted` words fingerprinted (empty when `cached`).
   // kViolation: `offset` indexes the staged violations.
   std::uint32_t offset = 0;
   std::uint32_t length = 0;
@@ -511,8 +511,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
       stage_violations.clear();
       std::size_t drained = 0;
       bool incomplete = false;
-      // Codec header: record[1] counts the distinct outputs so far.
-      const auto parent_decisions = static_cast<std::size_t>(item.record[1]);
+      const std::size_t parent_decisions = parent.decisions.size();
 
       // Classifies the staged entries in event order: a violation is
       // offered, a key the cache or the store already holds is a duplicate,
@@ -804,7 +803,7 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     // visited set, so every state expanded before the cut dedups away when
     // the resumed frontier re-reaches it.
     static_assert(std::is_same_v<typesys::Value, std::int64_t>,
-                  "checkpoint records are raw value vectors");
+                  "checkpoint records are packed NodeCodec words");
     std::vector<NodeStore::Intern> interned;
     interned.reserve(ckpt.nodes.size());
     for (const CheckpointData::Node& node : ckpt.nodes) {
@@ -988,6 +987,17 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
   stats_.store.canonical_hits = fresh_canonical_hits;
   visited_stats_ = store.load_stats();
   frontier_stats_ = frontier.stats();
+  if (obs_cells_.active) {
+    // Where the memory went, at run end: records, index, paths, frontier.
+    std::uint64_t path_bytes = 0;
+    for (const PathArena& path_arena : arenas) path_bytes += path_arena.bytes();
+    const auto bytes = [](std::uint64_t value) { return static_cast<std::int64_t>(value); };
+    obs_cells_.store_record_bytes->set(bytes(store_stats.record_bytes));
+    obs_cells_.table_slot_bytes->set(bytes(store_stats.slot_bytes));
+    obs_cells_.table_retired_bytes->set(bytes(store_stats.retired_bytes));
+    obs_cells_.path_arena_bytes->set(bytes(path_bytes));
+    obs_cells_.frontier_bytes->set(bytes(frontier_stats_.bytes));
+  }
   return finish(worker_stats);
 }
 

@@ -45,6 +45,7 @@ class PathArena {
   }
 
   std::uint64_t links() const { return links_; }
+  std::uint64_t bytes() const { return chunks_.size() * kChunkLinks * sizeof(PathLink); }
 
  private:
   static constexpr std::size_t kChunkLinks = std::size_t{1} << 12;

@@ -96,6 +96,9 @@ std::vector<ScenarioResult> Portfolio::run_all() const {
       config_.obs.metrics->reset("check.");
       config_.obs.metrics->reset("engine.");
       config_.obs.metrics->reset("store.");
+      config_.obs.metrics->reset("table.");
+      config_.obs.metrics->reset("path_arena.");
+      config_.obs.metrics->reset("frontier.");
       config_.obs.metrics->reset("random.");
       config_.obs.metrics->reset("replay.");
       config_.obs.metrics->gauge("portfolio.scenario_index")

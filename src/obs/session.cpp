@@ -74,6 +74,8 @@ const std::vector<NameDoc>& metric_names() {
       {"engine.violation_edges", "violating edges found (>=1 edge per reported violation)"},
       {"engine.visited_cap", "gauge: the run's max_visited budget"},
       {"engine.visited_states", "deduplicated states inserted (== ExplorerStats.visited)"},
+      {"frontier.bytes", "gauge: frontier deque storage held at run end"},
+      {"path_arena.bytes", "gauge: path backlink arena chunks held at run end"},
       {"portfolio.scenario_index", "gauge: 1-based index of the scenario now checking"},
       {"portfolio.scenarios_total", "gauge: scenarios in the running portfolio"},
       {"random.crashes", "crashes injected across random runs"},
@@ -86,8 +88,11 @@ const std::vector<NameDoc>& metric_names() {
       {"store.canonical_hits", "encodings the symmetry canonicalizer permuted"},
       {"store.encodes", "node encodings produced"},
       {"store.nodes", "unique states interned in the node store"},
+      {"store.record_bytes", "gauge: arena chunk bytes allocated at run end, slack included"},
       {"store.rehashes", "node-store index growth epochs across shards"},
-      {"store.value_bytes", "arena payload bytes across interned records"},
+      {"store.value_bytes", "packed record bytes across interned records (no headers)"},
+      {"table.retired_bytes", "gauge: node-store index arrays sealed by growth, at run end"},
+      {"table.slot_bytes", "gauge: live node-store index arrays at run end"},
   };
   return kNames;
 }

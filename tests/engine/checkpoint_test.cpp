@@ -141,6 +141,38 @@ TEST(CheckpointTest, LoaderRejectsEveryTruncation) {
   std::remove(path.c_str());
 }
 
+// CRC-32 (IEEE, reflected) as the checkpoint trailer uses it, so a test can
+// re-frame a file it edited.
+std::uint32_t crc32_of(const std::string& bytes) {
+  std::uint32_t crc = 0xffffffffU;
+  for (const char ch : bytes) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) != 0 ? 0xedb88320U ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffU;
+}
+
+TEST(CheckpointTest, VersionOneFileIsATypedCorruptLoad) {
+  // A well-formed version-1 file: a valid frame and CRC whose records are
+  // unpacked values. The loader must refuse it by version, without reading
+  // its records as packed words and without aborting.
+  std::string bytes = serialize_checkpoint(sample_data());
+  bytes.resize(bytes.size() - 4);
+  bytes[4] = 1;
+  bytes[5] = bytes[6] = bytes[7] = 0;
+  const std::uint32_t crc = crc32_of(bytes);
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+
+  const std::string path = temp_path("v1.ckpt");
+  write_file(path, bytes);
+  CheckpointData loaded;
+  std::string error;
+  EXPECT_EQ(load_checkpoint(path, loaded, error), CheckpointLoad::kCorrupt);
+  EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
+  EXPECT_TRUE(loaded.nodes.empty());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, TornWriteFaultLeavesPreviousCheckpointIntact) {
   const std::string path = temp_path("atomic.ckpt");
   const CheckpointData first = sample_data();

@@ -1,7 +1,8 @@
 // Unit tests of the interned node representation: NodeStore intern/fetch
 // round trips, load statistics and shard_bits tuning, NodeCodec
-// encode/decode inversion (including the fingerprinted prefix being exactly
-// engine::encode_node), and the Canonicalizer's symmetry reduction.
+// encode/decode inversion (including the fingerprinted prefix unpacking to
+// exactly engine::encode_node), the record packer, and the Canonicalizer's
+// symmetry reduction.
 #include "engine/node_store.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "rc/naive_register.hpp"
 #include "rc/team_consensus.hpp"
 #include "typesys/zoo.hpp"
+#include "util/rng.hpp"
 
 namespace rcons::engine {
 namespace {
@@ -130,9 +132,10 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   EXPECT_EQ(fetched, record_of(123, 3));
 }
 
-// Encode/decode must be mutually inverse, and the fingerprinted record
-// prefix must be exactly encode_node() of the same node — the full-record
-// dedup key of the reference explorer the differential test compares with.
+// Encode/decode must be mutually inverse, and the record's prefix must
+// unpack to exactly encode_node() of the same node — the full-record dedup
+// key of the reference explorer the differential test compares with — while
+// the fingerprint is FpStream over exactly the packed prefix words.
 TEST(NodeCodecTest, EncodeDecodeRoundTripsAndPrefixIsEncodeNode) {
   rc::NaiveRegisterSystem system = rc::make_naive_register_system(2);
   Node root = make_root(system.memory, system.processes);
@@ -153,9 +156,23 @@ TEST(NodeCodecTest, EncodeDecodeRoundTripsAndPrefixIsEncodeNode) {
 
   std::vector<typesys::Value> full;
   encode_node(state, full);
-  ASSERT_EQ(encoded.fingerprint_length, full.size());
-  EXPECT_TRUE(std::equal(full.begin(), full.end(), record.begin()));
-  EXPECT_EQ(encoded.fingerprint, fingerprint_values(full.data(), full.size()));
+  std::vector<typesys::Value> image;
+  const std::size_t n = state.processes.size();
+  ASSERT_EQ(unpack_record(record.data(), record.size(), n, image), full.size());
+  ASSERT_EQ(image.size(), full.size() + n);
+  EXPECT_TRUE(std::equal(full.begin(), full.end(), image.begin()));
+  EXPECT_TRUE(std::equal(state.steps_in_run.begin(), state.steps_in_run.end(),
+                         image.begin() + static_cast<std::ptrdiff_t>(full.size())));
+
+  std::vector<typesys::Value> packed_prefix;
+  const std::size_t prefix_words = pack_record(full.data(), full.size(), 0, packed_prefix);
+  ASSERT_EQ(prefix_words, packed_prefix.size());
+  ASSERT_EQ(encoded.fingerprint_length, packed_prefix.size());
+  ASSERT_LT(encoded.fingerprint_length, record.size());  // the sidecar follows
+  EXPECT_TRUE(std::equal(packed_prefix.begin(), packed_prefix.end(), record.begin()));
+  FpStream fp;
+  fp.absorb(record.data(), encoded.fingerprint_length);
+  EXPECT_EQ(encoded.fingerprint, fp.finish(encoded.fingerprint_length));
 
   // Decode into a scratch node that currently holds a different state.
   Node scratch = root;
@@ -170,6 +187,116 @@ TEST(NodeCodecTest, EncodeDecodeRoundTripsAndPrefixIsEncodeNode) {
   const NodeCodec::Encoded encoded_again = codec.encode(scratch, record_again);
   EXPECT_EQ(record_again, record);
   EXPECT_EQ(encoded_again.fingerprint, encoded.fingerprint);
+
+  // A record cut by a word no longer decodes.
+  Node cut = root;
+  EXPECT_DEATH(codec.decode(record.data(), record.size() - 1, cut), "truncated node record");
+}
+
+// --- the record packer ------------------------------------------------------
+
+std::vector<typesys::Value> pack(const std::vector<typesys::Value>& values,
+                                 std::size_t sidecar_count = 0) {
+  std::vector<typesys::Value> words;
+  pack_record(values.data(), values.size() - sidecar_count, sidecar_count, words);
+  return words;
+}
+
+std::vector<typesys::Value> unpack(const std::vector<typesys::Value>& words,
+                                   std::size_t sidecar_count = 0) {
+  std::vector<typesys::Value> values;
+  unpack_record(words.data(), words.size(), sidecar_count, values);
+  return values;
+}
+
+util::U128 prefix_fingerprint(const std::vector<typesys::Value>& values) {
+  std::vector<typesys::Value> words;
+  const std::size_t prefix_words = pack_record(values.data(), values.size(), 0, words);
+  return fingerprint_values(words.data(), prefix_words);
+}
+
+const std::vector<typesys::Value> kEdgeValues = {
+    0,  1,   -1,  63, -63, 64, -64, 101, 202, typesys::kBottom, typesys::kAck,
+    typesys::kBottom - 1, typesys::kBottom + 1, INT64_MIN, INT64_MAX};
+
+TEST(RecordPackTest, EdgeValuesRoundTrip) {
+  for (const typesys::Value v : kEdgeValues) {
+    EXPECT_EQ(unpack(pack({v})), std::vector<typesys::Value>{v}) << v;
+    EXPECT_EQ(unpack(pack({v, v}, 1), 1), (std::vector<typesys::Value>{v, v})) << v;
+  }
+  EXPECT_EQ(unpack(pack(kEdgeValues)), kEdgeValues);
+  EXPECT_EQ(unpack(pack(kEdgeValues, 4), 4), kEdgeValues);
+  EXPECT_EQ(unpack(pack({})), std::vector<typesys::Value>{});
+}
+
+TEST(RecordPackTest, BottomAckAndSmallValuesTakeOneByte) {
+  // The count byte plus seven one-byte codes fill exactly one word.
+  for (const typesys::Value v : {typesys::kBottom, typesys::kAck, typesys::Value{0},
+                                 typesys::Value{62}, typesys::Value{-63}}) {
+    EXPECT_EQ(pack(std::vector<typesys::Value>(7, v)).size(), 1u) << v;
+  }
+  EXPECT_EQ(pack(std::vector<typesys::Value>(7, 63)).size(), 2u);
+  // One word per record part: the sidecar never shares the prefix's words.
+  EXPECT_EQ(pack({1, 2}, 1).size(), 2u);
+}
+
+TEST(RecordPackTest, SeededRecordsRoundTrip) {
+  util::Rng rng(20260417);
+  for (int round = 0; round < 10'000; ++round) {
+    std::vector<typesys::Value> values(rng.below(48));
+    for (typesys::Value& v : values) {
+      switch (rng.below(4)) {
+        case 0:
+          v = static_cast<typesys::Value>(rng.below(256)) - 128;
+          break;
+        case 1:
+          v = kEdgeValues[rng.below(kEdgeValues.size())];
+          break;
+        case 2:
+          v = static_cast<typesys::Value>(rng.next() >> rng.below(64));
+          break;
+        default:
+          v = static_cast<typesys::Value>(rng.next());
+          break;
+      }
+    }
+    const std::size_t sidecar = rng.below(values.size() + 1);
+    std::vector<typesys::Value> image;
+    const std::vector<typesys::Value> words = pack(values, sidecar);
+    ASSERT_EQ(unpack_record(words.data(), words.size(), sidecar, image),
+              values.size() - sidecar)
+        << "round " << round;
+    ASSERT_EQ(image, values) << "round " << round;
+  }
+}
+
+TEST(RecordPackTest, TrailingZeroIsNotPadding) {
+  // A 0 value codes as a byte the zero padding also holds; the leading count
+  // keeps the two prefixes apart, in their words and in their fingerprints.
+  const std::vector<std::pair<std::vector<typesys::Value>, std::vector<typesys::Value>>>
+      pairs = {{{}, {0}}, {{1, 2}, {1, 2, 0}}, {{5, 6, 7, 8, 9, 10}, {5, 6, 7, 8, 9, 10, 0}}};
+  for (const auto& [shorter, longer] : pairs) {
+    EXPECT_NE(pack(shorter), pack(longer)) << shorter.size();
+    EXPECT_NE(prefix_fingerprint(shorter), prefix_fingerprint(longer)) << shorter.size();
+  }
+}
+
+TEST(RecordPackTest, TruncatedRecordsDie) {
+  // Twenty two-byte codes span six words; five of them end mid-prefix.
+  const std::vector<typesys::Value> words = pack(std::vector<typesys::Value>(20, 101));
+  ASSERT_EQ(words.size(), 6u);
+  // Exact-size copies, so a read past the end is a heap overflow under ASan.
+  for (std::size_t keep = 0; keep < words.size(); ++keep) {
+    const std::vector<typesys::Value> cut(words.begin(),
+                                          words.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_DEATH(unpack(cut), "truncated node record") << keep;
+  }
+  // A missing sidecar is a truncation too.
+  EXPECT_DEATH(unpack(pack({1, 2}), 1), "truncated node record");
+  // Count 1, then a varint whose seven bytes all continue past the end.
+  const std::vector<typesys::Value> unterminated = {
+      static_cast<typesys::Value>(0xffffffffffffff01ULL)};
+  EXPECT_DEATH(unpack(unterminated), "truncated node record");
 }
 
 // Two processes with the same program and input are interchangeable: states

@@ -324,6 +324,24 @@ TEST(MetricsContractTest, AutoPhaseSwitchKeepsCountersExact) {
   }
 }
 
+TEST(MetricsContractTest, MemoryGaugesReportWhereTheBytesWent) {
+  // Sn(4), n=4: one gauge per memory holder at run end. The arena holds at
+  // least the record bytes it was handed, slack and headers on top.
+  MetricsRegistry registry;
+  const check::CheckReport report = run_with_registry(
+      team_request(4, 1), check::Strategy::kParallelBFS, 2, registry);
+  EXPECT_TRUE(report.clean);
+  for (const char* name : {"store.record_bytes", "table.slot_bytes", "table.retired_bytes",
+                           "path_arena.bytes", "frontier.bytes"}) {
+    const MetricSample* sample = find_sample(report.metrics, name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_EQ(sample->kind, MetricKind::kGauge) << name;
+    EXPECT_GT(sample->gauge_value(), 0) << name;
+  }
+  EXPECT_GE(find_sample(report.metrics, "store.record_bytes")->gauge_value(),
+            static_cast<std::int64_t>(counter_value(report.metrics, "store.value_bytes")));
+}
+
 TEST(MetricsContractTest, NoRegistryMeansEmptySnapshotInReport) {
   check::CheckRequest request = team_request(2, 1);
   request.strategy = check::Strategy::kSequentialDFS;

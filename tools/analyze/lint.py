@@ -17,7 +17,8 @@ documented invariants (see README "Correctness tooling"):
                        FaultPlan::Action, Claim::Outcome) cover every
                        enumerator, or carry a default: with a reason comment.
   obs-taxonomy-sync    every engine.*/check.*/random.*/replay.*/portfolio.*/
-                       store.* metric literal in src/ appears in the
+                       store.*/table.*/path_arena.*/frontier.* metric
+                       literal in src/ appears in the
                        metric_names() taxonomy (obs/session.cpp) and vice
                        versa; span names created in src/ appear in
                        span_names(), and documented spans are emitted
@@ -112,7 +113,8 @@ TAXONOMY_FILE = "src/obs/session.cpp"
 README_FILE = "README.md"
 ARCH_TABLE_HEADER_RE = re.compile(r"^\|\s*piece\s*\|\s*role\s*\|\s*$")
 DOC_SYNC_DIR = "src/engine"
-METRIC_PREFIXES = ("engine", "check", "random", "replay", "portfolio", "store")
+METRIC_PREFIXES = ("engine", "check", "random", "replay", "portfolio", "store", "table",
+                   "path_arena", "frontier")
 
 ATOMIC_CALL_RE = re.compile(
     r"\.\s*(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|"
