@@ -25,9 +25,17 @@
 // migrate one fixed *stripe* of the sealed array's slots per operation —
 // workers share the sweep via an atomic stripe cursor instead of any thread
 // stopping the world. Sealed arrays stay readable (their probe chains are
-// never broken) until every stripe is migrated, and their memory is retired
-// to the table and freed on destruction: bounded by the geometric capacity
-// series, i.e. less than one extra copy of the final array.
+// never broken) until every stripe is migrated; the last stripe detaches the
+// array from lookups and retires it to the table's limbo list.
+//
+// Reclamation is quiescent-state based (QsbrDomain below). A retired array
+// is stamped with a fresh domain epoch; it is freed (reclaim()) once every
+// online participant of the domain — one per interning worker — has
+// announced a quiescent point, a moment holding no pointer into the table,
+// after that stamp. The engine's workers announce one between frontier
+// items. A table without a domain, or whose participants never announce,
+// keeps its retired arrays until it is destroyed: bounded by the geometric
+// capacity series, i.e. less than one extra copy of the final array.
 //
 // The seal handshake is the subtle part. A claimer CASes EMPTY→CLAIMED and
 // then checks `sealed`; the grower stores `sealed = true` before publishing
@@ -51,6 +59,7 @@
 #ifndef RCONS_ENGINE_CAS_TABLE_HPP
 #define RCONS_ENGINE_CAS_TABLE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,6 +71,124 @@
 #include "util/hash.hpp"
 
 namespace rcons::engine {
+
+// A value alone on its 64-byte cache line. The run's hot shared atomics —
+// the visited counter (one fetch_add per new state), the stop flag (read on
+// every event), the pending-work counter (one update per expansion) and each
+// worker's announced quiescent epoch (one store per item) — each get one, so
+// a write to one never invalidates the line another worker is reading the
+// others through.
+template <typename T>
+struct alignas(64) OwnLine : T {
+  using T::T;
+};
+
+// Quiescent-state-based reclamation (QSBR) of the arrays CasTable growth
+// retires. Each participant (one per interning worker) announces quiescent
+// points — moments at which it holds no pointer into any table of the
+// domain — by publishing the domain epoch it read there. retire() stamps an
+// array that was just detached from lookups with a freshly bumped epoch;
+// once every online participant has announced an epoch at or past the stamp,
+// no lookup can still be inside the array and it may be freed.
+//
+// Participants start offline; offline ones (not started yet, or exited)
+// hold nothing and never hold a free back.
+//
+// Memory ordering:
+//   * quiesce: acquire-load the epoch, release-store it as seen. The release
+//     orders the participant's earlier probes before any free that acquires
+//     this announcement; the acquire means an announcement at or past a
+//     stamp happens after that array's detach, so later probes cannot reach
+//     the array.
+//   * online: a seq_cst store of the seen epoch followed by a seq_cst
+//     re-read of the epoch, against safe_epoch()'s seq_cst epoch load and
+//     seen scan. Either the scan sees the participant online (and its older
+//     epoch holds the free back), or the re-read sees the stamping bump, so
+//     the detach happens before every probe the participant then makes.
+//   * The detach (a seq_cst store, CasTable::help_migrate) is sequenced
+//     before the stamping bump (a seq_cst read-modify-write).
+class QsbrDomain {
+ public:
+  static constexpr std::uint64_t kOffline = ~std::uint64_t{0};
+
+  explicit QsbrDomain(int participants)
+      : participants_(participants),
+        seen_(std::make_unique<Seen[]>(static_cast<std::size_t>(participants))) {
+    RCONS_ASSERT_MSG(participants >= 1, "a reclamation domain needs a participant");
+    for (int p = 0; p < participants; ++p) offline(p);
+  }
+
+  int participants() const { return participants_; }
+
+  // Before the participant's first table operation.
+  void online(int p) {
+    std::uint64_t epoch = epoch_of(state_.load(std::memory_order_seq_cst));
+    for (;;) {
+      seen(p).store(epoch, std::memory_order_seq_cst);
+      const std::uint64_t again = epoch_of(state_.load(std::memory_order_seq_cst));
+      if (again == epoch) return;
+      epoch = again;
+    }
+  }
+
+  // After the participant's last table operation.
+  void offline(int p) { seen(p).store(kOffline, std::memory_order_release); }
+
+  // Announces a quiescent point of online participant `p`: one load of the
+  // shared state line, one store to the participant's own line. Returns
+  // true while retired arrays await a free, i.e. when a reclaim pass
+  // (safe_epoch() + CasTable::reclaim) may be due.
+  bool quiesce(int p) {
+    const std::uint64_t state = state_.load(std::memory_order_acquire);
+    seen(p).store(epoch_of(state), std::memory_order_release);
+    return (state & kPendingMask) != 0;
+  }
+
+  // Arrays stamped at or below this epoch are unreachable by every
+  // participant: the minimum announced epoch over the online participants,
+  // or the current epoch when none is online.
+  std::uint64_t safe_epoch() const {
+    std::uint64_t safe = epoch_of(state_.load(std::memory_order_seq_cst));
+    for (int p = 0; p < participants_; ++p) {
+      safe = std::min(safe, seen_[static_cast<std::size_t>(p)].load(std::memory_order_seq_cst));
+    }
+    return safe;
+  }
+
+  // Retires one detached array: bumps the epoch and returns it as the
+  // array's stamp. Call after the detach store (see the ordering above).
+  std::uint64_t retire() {
+    const std::uint64_t before =
+        state_.fetch_add(kEpochOne + 1, std::memory_order_seq_cst);
+    return epoch_of(before) + 1;
+  }
+
+  // `count` retired arrays were freed.
+  void released(std::uint64_t count) {
+    if (count != 0) state_.fetch_sub(count, std::memory_order_relaxed);
+  }
+
+ private:
+  using Seen = OwnLine<std::atomic<std::uint64_t>>;
+
+  // state_ packs the epoch (high 32 bits) with the count of retired arrays
+  // not yet freed (low 32 bits), so a quiescent point reads one word. Both
+  // halves stay far below 2^32: each retirement is one index growth.
+  static constexpr std::uint64_t kEpochOne = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kPendingMask = kEpochOne - 1;
+  static std::uint64_t epoch_of(std::uint64_t state) { return state >> 32; }
+
+  std::atomic<std::uint64_t>& seen(int p) {
+    RCONS_DCHECK(p >= 0 && p < participants_);
+    return seen_[static_cast<std::size_t>(p)];
+  }
+
+  // Written once per retirement and per free pass, read by every quiescent
+  // point: its own line, never shared with a participant's announcement.
+  alignas(64) std::atomic<std::uint64_t> state_{kEpochOne};  // epoch 1, none pending
+  int participants_;
+  std::unique_ptr<Seen[]> seen_;
+};
 
 class CasTable {
  public:
@@ -82,8 +209,11 @@ class CasTable {
   };
 
   // Pre-sizes for `expected` keys so a run of the anticipated size never
-  // grows. 0 = unknown; start minimal and grow cooperatively.
-  explicit CasTable(std::uint64_t expected = 0) {
+  // grows. 0 = unknown; start minimal and grow cooperatively. Swept arrays
+  // are retired into `domain` (which must outlive the table) and freed by
+  // reclaim(); without a domain they stay until the table is destroyed.
+  explicit CasTable(std::uint64_t expected = 0, QsbrDomain* domain = nullptr)
+      : domain_(domain) {
     std::size_t capacity = kMinCapacity;
     while (capacity < kMaxPresize && expected > capacity / 8 * 5) capacity <<= 1;
     auto first = std::make_unique<Array>(capacity);
@@ -152,7 +282,9 @@ class CasTable {
     return find(key, ignored);
   }
 
-  // Looks `key` up; fills `value` and returns true when present.
+  // Looks `key` up; fills `value` and returns true when present. Like every
+  // operation racing reclaim(), it must run between two quiescent points of
+  // an online domain participant.
   bool find(util::U128 key, std::uint64_t& value) const {
     for (Array* a = live_.load(std::memory_order_acquire); a != nullptr;
          a = a->prev.load(std::memory_order_acquire)) {
@@ -177,20 +309,46 @@ class CasTable {
     return live_.load(std::memory_order_acquire)->capacity;
   }
 
-  // Bytes of the live slot array, and of the arrays sealed by growth, which
-  // stay allocated until the table is destroyed.
+  // Bytes of the live slot array; of the arrays sealed by growth that the
+  // table still holds (those awaiting or in their sweep, and swept ones no
+  // reclaim() has freed yet — every one of them when nothing reclaims); and
+  // of the swept arrays reclaim() freed.
   std::uint64_t slot_bytes() const { return capacity() * sizeof(Slot); }
   std::uint64_t retired_bytes() const {
     return retired_slots_.load(std::memory_order_relaxed) * sizeof(Slot);
   }
+  std::uint64_t reclaimed_bytes() const {
+    return reclaimed_slots_.load(std::memory_order_relaxed) * sizeof(Slot);
+  }
+
+  // Frees the retired arrays stamped at or below `safe_epoch` (a value of
+  // the domain's safe_epoch()); returns how many it freed. Safe concurrently
+  // with inserts and lookups: the stamp guarantees no operation is inside
+  // those arrays. The stamp is taken under growth_mu_, so a pass that read
+  // a safe epoch at or past a stamp finds that array already in limbo_.
+  std::uint64_t reclaim(std::uint64_t safe_epoch) {
+    // rcons-lint: allow(hot-path-no-mutex) once per free pass (a handful per growth), never per insert
+    std::lock_guard<std::mutex> lock(growth_mu_);
+    std::uint64_t freed = 0;
+    std::erase_if(limbo_, [&](const Retired& entry) {
+      if (entry.epoch > safe_epoch) return false;
+      retired_slots_.fetch_sub(entry.array->capacity, std::memory_order_relaxed);
+      reclaimed_slots_.fetch_add(entry.array->capacity, std::memory_order_relaxed);
+      freed += 1;
+      return true;
+    });
+    return freed;
+  }
 
   // Quiescent iteration for checkpointing: visits every PUBLISHED slot of
-  // every epoch array still owned by the table (live and sealed), calling
-  // `fn(key, value)`. Caller contract: no concurrent inserts (the engine
-  // calls this only while every worker is parked at the pause barrier or
-  // after they joined). A key carried over by a partial migration sweep
-  // appears in both its sealed and its destination array with the SAME
-  // value, so callers needing uniqueness dedup by value.
+  // every epoch array the table still owns (live, sealed, and swept but not
+  // yet retired), calling `fn(key, value)`. Retired arrays are skipped:
+  // their sweep carried every key into a newer array. Caller contract: no
+  // concurrent inserts (the engine calls this only while every worker is
+  // parked at the pause barrier or after they joined). A key carried over
+  // by a partial migration sweep appears in both its sealed and its
+  // destination array with the SAME value, so callers needing uniqueness
+  // dedup by value.
   template <typename F>
   void for_each_published(F&& fn) {
     // rcons-lint: allow(hot-path-no-mutex) enumeration runs offline (stats/checkpoint), never per-insert
@@ -211,6 +369,8 @@ class CasTable {
   static constexpr std::uint32_t kClaimed = 1;
   static constexpr std::uint32_t kPublished = 2;
   static constexpr std::uint32_t kTombstone = 3;
+  // Stamp of an array retired without a domain: never reclaimed.
+  static constexpr std::uint64_t kNeverReclaimed = ~std::uint64_t{0};
 
   static constexpr std::size_t kMinCapacity = 16;  // power of two
   // Pre-sizing cap (slots): beyond this the table grows cooperatively
@@ -244,8 +404,9 @@ class CasTable {
     const std::size_t num_stripes;
     std::unique_ptr<Slot[]> slots;
     // The next-older array whose sweep feeds this chain; cleared (detached
-    // from lookups) when that sweep completes. Memory is retired to the
-    // table, not freed, so racing readers never chase a dangling pointer.
+    // from lookups) when that sweep completes. The detached array is retired
+    // to limbo_, not freed, so racing readers never chase a dangling
+    // pointer; reclaim() frees it once they have all moved on.
     std::atomic<Array*> prev{nullptr};
     std::atomic<bool> sealed{false};
     std::atomic<std::size_t> stripe_cursor{0};  // next stripe to claim
@@ -445,10 +606,28 @@ class CasTable {
     const std::size_t done =
         oldest->stripes_done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (done == oldest->num_stripes) {
-      // Every slot is carried over: detach the array from lookups. Its
-      // memory stays retired in arrays_ until destruction.
-      successor->prev.store(nullptr, std::memory_order_release);
+      // Every slot is carried over: detach the array from lookups, then
+      // retire it. seq_cst: the detach must precede the retirement stamp in
+      // the domain's total order (QsbrDomain).
+      successor->prev.store(nullptr, std::memory_order_seq_cst);
+      retire(oldest);
     }
+  }
+
+  // Moves detached array `swept` from arrays_ to limbo_, stamped with a
+  // fresh domain epoch. Cold: once per growth. A failed limbo allocation
+  // leaves the array in arrays_, where it lives until destruction.
+  void retire(Array* swept) {
+    // rcons-lint: allow(hot-path-no-mutex) once per completed sweep (one per growth), never per insert
+    std::lock_guard<std::mutex> lock(growth_mu_);
+    const auto owned =
+        std::find_if(arrays_.begin(), arrays_.end(),
+                     [swept](const std::unique_ptr<Array>& a) { return a.get() == swept; });
+    RCONS_DCHECK_MSG(owned != arrays_.end(), "retiring an array the table does not own");
+    limbo_.reserve(limbo_.size() + 1);
+    const std::uint64_t epoch = domain_ != nullptr ? domain_->retire() : kNeverReclaimed;
+    limbo_.push_back(Retired{std::move(*owned), epoch});
+    arrays_.erase(owned);
   }
 
   void maybe_grow(Array* claimed_in) {
@@ -486,6 +665,7 @@ class CasTable {
   // Precondition: growth_mu_ held and `head` == live_.
   void grow_locked(Array* head) {
     auto next = std::make_unique<Array>(head->capacity * 2);
+    arrays_.reserve(arrays_.size() + 1);  // nothing below may throw after the seal
     next->prev.store(head, std::memory_order_relaxed);
     rehashes_.fetch_add(1, std::memory_order_relaxed);
     retired_slots_.fetch_add(head->capacity, std::memory_order_relaxed);
@@ -504,10 +684,19 @@ class CasTable {
   alignas(64) std::atomic<Array*> live_{nullptr};
   alignas(64) std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> rehashes_{0};
-  std::atomic<std::uint64_t> retired_slots_{0};  // slots of the sealed arrays
-  // rcons-lint: allow(hot-path-no-mutex) serializes growth (cold); never taken by inserts
+  std::atomic<std::uint64_t> retired_slots_{0};    // slots of sealed arrays held
+  std::atomic<std::uint64_t> reclaimed_slots_{0};  // slots of retired arrays freed
+  QsbrDomain* const domain_;
+  // rcons-lint: allow(hot-path-no-mutex) serializes growth and retirement (cold); never taken by inserts
   std::mutex growth_mu_;
-  std::vector<std::unique_ptr<Array>> arrays_;  // guarded by growth_mu_
+  struct Retired {
+    std::unique_ptr<Array> array;
+    std::uint64_t epoch = kNeverReclaimed;  // QsbrDomain stamp
+  };
+  // Guarded by growth_mu_: the live array and the sealed ones still in the
+  // lookup chain or not yet retired; and the retired arrays awaiting a free.
+  std::vector<std::unique_ptr<Array>> arrays_;
+  std::vector<Retired> limbo_;
 };
 
 }  // namespace rcons::engine

@@ -496,15 +496,14 @@ int NodeCodec::orbit_skip_mask(const Value* record,
 // --- NodeStore --------------------------------------------------------------
 
 NodeStore::NodeStore(int shard_bits, std::uint64_t expected_states, int num_arenas)
-    : shard_bits_(shard_bits) {
+    : shard_bits_(shard_bits), domain_(num_arenas) {
   RCONS_ASSERT_MSG(shard_bits >= 0 && shard_bits <= 16,
                    "shard_bits must be in [0, 16]");
-  RCONS_ASSERT_MSG(num_arenas >= 1, "need at least one arena");
   const std::size_t count = std::size_t{1} << shard_bits;
   const std::uint64_t expected_per_shard = expected_states / count;
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(expected_per_shard));
+    shards_.push_back(std::make_unique<Shard>(expected_per_shard, &domain_));
   }
   arenas_.reserve(static_cast<std::size_t>(num_arenas));
   for (int i = 0; i < num_arenas; ++i) arenas_.push_back(std::make_unique<Arena>());
@@ -523,6 +522,22 @@ Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
   arena.end = arena.cur + kChunkValues;
   arena.chunk_values += kChunkValues;
   return arena.cur;
+}
+
+void NodeStore::reclaim() {
+  // Workers that merely see arrays waiting on a slower arena pay a scan of
+  // the announcements, not a lock.
+  const std::uint64_t safe = domain_.safe_epoch();
+  if (safe <= reclaimed_through_.load(std::memory_order_relaxed)) return;
+  // rcons-lint: allow(hot-path-no-mutex) free pass: once per safe-epoch advance, try-locked so workers never queue on it
+  std::unique_lock<std::mutex> lock(reclaim_mu_, std::try_to_lock);
+  if (!lock.owns_lock() || safe <= reclaimed_through_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  std::uint64_t freed = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) freed += shard->index.reclaim(safe);
+  domain_.released(freed);
+  reclaimed_through_.store(safe, std::memory_order_relaxed);
 }
 
 NodeStore::Intern NodeStore::intern(util::U128 fingerprint, const Value* record,
@@ -589,6 +604,7 @@ NodeStore::Stats NodeStore::stats() const {
     stats.rehashes += shard->index.rehashes();
     stats.slot_bytes += shard->index.slot_bytes();
     stats.retired_bytes += shard->index.retired_bytes();
+    stats.reclaimed_bytes += shard->index.reclaimed_bytes();
   }
   for (const auto& arena : arenas_) {
     stats.value_bytes += arena->payload_values * sizeof(Value);

@@ -240,8 +240,13 @@ class NodeCodec {
 // *inside the claimed window* (CasTable::insert_with), so duplicates never
 // pay a record copy and new records are published to concurrent readers by
 // the slot's release-store. The only locks left are cold: index growth
-// (CasTable's epoch migration) and fresh chunk allocation (once per
-// kChunkValues interned values per worker).
+// (CasTable's epoch migration), freeing swept index arrays (below), and
+// fresh chunk allocation (once per kChunkValues interned values per worker).
+//
+// Swept index arrays are freed during the run by quiescent-state
+// reclamation (QsbrDomain, engine/cas_table.hpp): arena i is participant i
+// of the store's domain. Callers that never go online (single-threaded
+// replays, unit tests) keep every swept array until the store is destroyed.
 class NodeStore {
  public:
   using NodeId = std::uint64_t;
@@ -289,6 +294,22 @@ class NodeStore {
                   stats);
   }
 
+  // Quiescent-state reclamation of the swept index arrays. The thread
+  // interning through `arena` calls online(arena) before its first intern,
+  // quiesce(arena) at points where it is inside no store operation, and
+  // offline(arena) after its last intern. quiesce() costs one load and one
+  // store to the arena's own cache line; when swept arrays are waiting it
+  // also frees those every online arena has passed (reclaim()), and so does
+  // offline(), so the last arena to leave frees every swept array.
+  void online(int arena) { domain_.online(arena); }
+  void offline(int arena) {
+    domain_.offline(arena);
+    reclaim();
+  }
+  void quiesce(int arena) {
+    if (domain_.quiesce(arena)) [[unlikely]] reclaim();
+  }
+
   // Hints the cache to fetch `fingerprint`'s home index slot ahead of its
   // intern() (CasTable::prefetch).
   void prefetch(util::U128 fingerprint) const {
@@ -317,10 +338,13 @@ class NodeStore {
     std::uint64_t rehashes = 0;        // index growth epochs across shards
     // Memory held: arena chunks allocated (headers and chunk-end slack
     // included), the live index arrays, and the index arrays sealed by
-    // growth (kept until the store is destroyed).
+    // growth that are still held (pending or in their sweep, or swept but
+    // not yet freed by a quiescent point).
     std::uint64_t record_bytes = 0;
     std::uint64_t slot_bytes = 0;
     std::uint64_t retired_bytes = 0;
+    // Memory freed: swept index arrays released during the run.
+    std::uint64_t reclaimed_bytes = 0;
   };
   Stats stats() const;
 
@@ -341,7 +365,9 @@ class NodeStore {
   // Quiescent iteration over every interned record for checkpointing:
   // `fn(fingerprint, payload, length)` where `payload` points at the record
   // values (the slice intern() copied, excluding the length header). Caller
-  // contract: no concurrent interns. Keys migrated by a partial index sweep
+  // contract: no concurrent interns; a concurrent reclaim() is fine (both
+  // take the index's growth mutex, and a freed array's keys all live in
+  // newer arrays). Keys migrated by a partial index sweep
   // appear in two epoch arrays with the same header address; they are
   // deduplicated here (by that address) so each record is yielded once.
   template <typename F>
@@ -384,9 +410,13 @@ class NodeStore {
   };
 
   struct alignas(64) Shard {
-    explicit Shard(std::uint64_t expected) : index(expected) {}
+    Shard(std::uint64_t expected, QsbrDomain* domain) : index(expected, domain) {}
     CasTable index;  // fingerprint -> record header address
   };
+
+  // Frees the swept index arrays every online arena has passed. Cold: runs
+  // only while some are waiting, and one caller at a time.
+  void reclaim();
 
   // Points the arena at a fresh chunk with >= `need` free values. Cold path:
   // takes chunk_mu_ once per kChunkValues interned values per worker.
@@ -399,6 +429,12 @@ class NodeStore {
   }
 
   int shard_bits_;
+  QsbrDomain domain_;  // declared before shards_: their indexes retire into it
+  // Highest safe epoch a reclaim pass has freed through; written under
+  // reclaim_mu_, read before it so a pass with nothing new never locks.
+  std::atomic<std::uint64_t> reclaimed_through_{0};
+  // rcons-lint: allow(hot-path-no-mutex) cold: one free pass at a time, try-locked, never per-intern
+  std::mutex reclaim_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Arena>> arenas_;
   // rcons-lint: allow(hot-path-no-mutex) cold: guards chunk allocation, never per-intern

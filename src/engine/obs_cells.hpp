@@ -65,6 +65,7 @@ struct ObsCells {
   obs::Counter* store_encodes = nullptr;
   obs::Counter* store_canonical_hits = nullptr;
   obs::Counter* store_rehashes = nullptr;
+  obs::Counter* table_reclaimed_bytes = nullptr;
 
   obs::Gauge* frontier_pending = nullptr;
   obs::Gauge* visited_cap = nullptr;
@@ -102,6 +103,7 @@ struct ObsCells {
     cells.store_encodes = &registry->counter("store.encodes");
     cells.store_canonical_hits = &registry->counter("store.canonical_hits");
     cells.store_rehashes = &registry->counter("store.rehashes");
+    cells.table_reclaimed_bytes = &registry->counter("table.reclaimed_bytes");
     cells.frontier_pending = &registry->gauge("engine.frontier_pending");
     cells.visited_cap = &registry->gauge("engine.visited_cap");
     cells.num_threads = &registry->gauge("engine.num_threads");

@@ -416,9 +416,13 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
   // Any allocation failure — fault-injected at the batch/intern sites or a
   // real bad_alloc out of index/arena/deque growth — lands here and becomes
   // the typed StopReason::kMemory truncated verdict; it never escapes.
+  store.online(id);
   try {
     for (;;) {
       heartbeat.beats.store(++beats, std::memory_order_relaxed);
+      // Between items this worker holds no index pointer: announce it, so
+      // swept index arrays every worker has passed can be freed.
+      store.quiesce(id);
       if (batch.empty()) {
         // Cooperative stop: exit immediately. Queued work stays queued (and
         // pending-counted), so a checkpoint taken after the join still sees
@@ -713,6 +717,7 @@ void ParallelExplorer::worker(int id, Frontier& frontier, NodeStore& store,
     }
   }
 
+  store.offline(id);
   dcheck_transitions_identity(local);  // holds even when obs flushing is off
   if (obs_cells_.active) {
     flush_worker_obs(obs_lane, flushed, local,
@@ -995,6 +1000,9 @@ std::optional<sim::Violation> ParallelExplorer::explore() {
     obs_cells_.store_record_bytes->set(bytes(store_stats.record_bytes));
     obs_cells_.table_slot_bytes->set(bytes(store_stats.slot_bytes));
     obs_cells_.table_retired_bytes->set(bytes(store_stats.retired_bytes));
+    if (store_stats.reclaimed_bytes != 0) {
+      obs_cells_.table_reclaimed_bytes->add(0, store_stats.reclaimed_bytes);
+    }
     obs_cells_.path_arena_bytes->set(bytes(path_bytes));
     obs_cells_.frontier_bytes->set(bytes(frontier_stats_.bytes));
   }

@@ -63,6 +63,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/cas_table.hpp"
 #include "engine/expand.hpp"
 #include "engine/frontier.hpp"
 #include "engine/node_store.hpp"
@@ -96,15 +97,7 @@ inline constexpr std::uint64_t kSequentialOnly = ~std::uint64_t{0};
 // 0.4% of a million-state run on one core.
 inline constexpr std::uint64_t kAutoSequentialLimit = 4096;
 
-// A value alone on its 64-byte cache line. The run's hot shared atomics —
-// the visited counter (one fetch_add per new state), the stop flag (read on
-// every event) and the pending-work counter (one update per expansion) —
-// each get one, so a write to one never invalidates the line another worker
-// is reading the others through.
-template <typename T>
-struct alignas(64) OwnLine : T {
-  using T::T;
-};
+// OwnLine (engine/cas_table.hpp) gives each hot shared atomic its own line.
 using PendingCount = OwnLine<std::atomic<std::uint64_t>>;
 static_assert(sizeof(PendingCount) == 64 && alignof(PendingCount) == 64,
               "the pending counter must fill exactly one cache line");

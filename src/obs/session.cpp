@@ -91,7 +91,9 @@ const std::vector<NameDoc>& metric_names() {
       {"store.record_bytes", "gauge: arena chunk bytes allocated at run end, slack included"},
       {"store.rehashes", "node-store index growth epochs across shards"},
       {"store.value_bytes", "packed record bytes across interned records (no headers)"},
-      {"table.retired_bytes", "gauge: node-store index arrays sealed by growth, at run end"},
+      {"table.reclaimed_bytes", "swept node-store index array bytes freed during the run"},
+      {"table.retired_bytes",
+       "gauge: node-store index arrays sealed by growth and still held at run end"},
       {"table.slot_bytes", "gauge: live node-store index arrays at run end"},
   };
   return kNames;

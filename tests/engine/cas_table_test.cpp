@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <new>
 #include <thread>
@@ -181,24 +182,76 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
   }
 }
 
+// One operation's worth of quiescence: announce participant `p` and, when
+// swept arrays wait, run a free pass — what NodeStore::quiesce does.
+void quiesce(QsbrDomain& domain, int p, CasTable& table) {
+  if (domain.quiesce(p)) domain.released(table.reclaim(domain.safe_epoch()));
+}
+
+// Inserts fresh keys from `next` on until the table has grown `growths` times
+// and the last sweep has detached its array, quiescing participant `p` after
+// every operation. Returns the next unused key index.
+std::uint64_t grow_and_sweep(CasTable& table, std::uint64_t next, std::uint64_t growths,
+                             QsbrDomain* domain = nullptr, int p = 0) {
+  const std::uint64_t target = table.rehashes() + growths;
+  while (table.rehashes() < target || table.migrating()) {
+    table.insert(key(next), next);
+    next += 1;
+    if (domain != nullptr) quiesce(*domain, p, table);
+  }
+  return next;
+}
+
 TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
   // Start minimal so the table must grow many times while all threads are
   // mid-insert: every epoch's seal/tombstone/retry handshake and the shared
   // stripe sweep run under real contention. Disjoint per-thread key ranges
-  // make the final size exact.
+  // make the final size exact. Readers look up keys the writers already
+  // inserted while swept arrays are freed under them; every participant
+  // quiesces between operations, so frees race live lookups throughout.
   constexpr int kThreads = 8;
+  constexpr int kReaders = 2;
   constexpr std::uint64_t kKeysPerThread = 8'000;
-  CasTable table;
+  QsbrDomain domain(kThreads + kReaders);
+  CasTable table(0, &domain);
   std::vector<CasTable::OpStats> ops(kThreads);
+  std::vector<std::atomic<std::uint64_t>> progress(kThreads);
+  for (auto& done : progress) done.store(0, std::memory_order_relaxed);
+  std::atomic<int> writing{kThreads};
+  for (int p = 0; p < kThreads + kReaders; ++p) domain.online(p);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &table, &ops] {
+    threads.emplace_back([t, &table, &ops, &domain, &progress, &writing] {
       const std::uint64_t base = static_cast<std::uint64_t>(t) * kKeysPerThread;
       for (std::uint64_t i = 0; i < kKeysPerThread; ++i) {
-        ASSERT_TRUE(
+        const bool inserted =
             table.insert(key(base + i), base + i, &ops[static_cast<std::size_t>(t)])
-                .inserted);
+                .inserted;
+        progress[static_cast<std::size_t>(t)].store(i + 1, std::memory_order_release);
+        quiesce(domain, t, table);
+        EXPECT_TRUE(inserted) << base + i;
       }
+      domain.offline(t);
+      writing.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([r, &table, &domain, &progress, &writing] {
+      const int p = kThreads + r;
+      std::uint64_t lookups = 0;
+      while (writing.load(std::memory_order_acquire) > 0) {
+        const auto t = static_cast<std::size_t>((lookups + r) % kThreads);
+        const std::uint64_t done = progress[t].load(std::memory_order_acquire);
+        lookups += 1;
+        if (done == 0) continue;
+        const std::uint64_t k = t * kKeysPerThread + (lookups * 7919) % done;
+        std::uint64_t value = 0;
+        const bool found = table.find(key(k), value);
+        quiesce(domain, p, table);
+        ASSERT_TRUE(found) << k;
+        ASSERT_EQ(value, k);
+      }
+      domain.offline(p);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -214,6 +267,95 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
     std::uint64_t value = 0;
     ASSERT_TRUE(table.find(key(i), value)) << i;
     ASSERT_EQ(value, i) << i;
+  }
+  // Everyone is offline: every swept array is free to go.
+  domain.released(table.reclaim(domain.safe_epoch()));
+  EXPECT_GT(table.reclaimed_bytes(), 0u);
+  EXPECT_LE(table.retired_bytes(), table.slot_bytes());
+}
+
+TEST(CasTableTest, QuiescenceFreesEverySweptArray) {
+  QsbrDomain domain(1);
+  CasTable table(0, &domain);
+  const std::uint64_t first_bytes = table.slot_bytes();
+  domain.online(0);
+  const std::uint64_t keys = grow_and_sweep(table, 0, 5, &domain);
+  quiesce(domain, 0, table);
+  // Every sealed array (the geometric series below the live one) was swept,
+  // detached and freed; nothing is held back.
+  EXPECT_EQ(table.retired_bytes(), 0u);
+  EXPECT_EQ(table.reclaimed_bytes(), table.slot_bytes() - first_bytes);
+  EXPECT_FALSE(domain.quiesce(0));  // nothing left waiting
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    std::uint64_t value = 0;
+    ASSERT_TRUE(table.find(key(i), value)) << i;
+    ASSERT_EQ(value, i);
+  }
+}
+
+TEST(CasTableTest, UnquiescedReaderKeepsTheSweptArrayAlive) {
+  // Participant 0 writes and quiesces after every insert; participant 1 is a
+  // reader that went online before the growth and has not announced since.
+  QsbrDomain domain(2);
+  CasTable table(0, &domain);
+  domain.online(0);
+  domain.online(1);
+  std::uint64_t next = 0;
+  while (table.rehashes() == 0) {
+    table.insert(key(next), next);
+    next += 1;
+    quiesce(domain, 0, table);
+  }
+  // Mid-sweep: the reader's lookup walks the sealed array.
+  std::uint64_t value = 0;
+  ASSERT_TRUE(table.migrating());
+  ASSERT_TRUE(table.find(key(0), value));
+  next = grow_and_sweep(table, next, 0, &domain, 0);
+  quiesce(domain, 0, table);
+  const std::uint64_t held = table.retired_bytes();
+  EXPECT_GT(held, 0u);
+  EXPECT_EQ(table.reclaimed_bytes(), 0u);
+  for (std::uint64_t i = 0; i < next; ++i) {
+    ASSERT_TRUE(table.find(key(i), value)) << i;
+    ASSERT_EQ(value, i);
+  }
+  // The reader's announcement releases it; the next free pass frees it.
+  EXPECT_TRUE(domain.quiesce(1));
+  quiesce(domain, 0, table);
+  EXPECT_EQ(table.retired_bytes(), 0u);
+  EXPECT_EQ(table.reclaimed_bytes(), held);
+}
+
+TEST(CasTableTest, WithoutAnnouncementsSweptArraysStayUntilDestruction) {
+  // No domain, or a domain whose participants never announce after the
+  // retirement: the swept arrays stay held, as in a table nobody reclaims.
+  CasTable bare;
+  const std::uint64_t bare_first = bare.slot_bytes();
+  const std::uint64_t bare_keys = grow_and_sweep(bare, 0, 4);
+  EXPECT_EQ(bare.reclaim(~std::uint64_t{0} - 1), 0u);
+  EXPECT_EQ(bare.retired_bytes(), bare.slot_bytes() - bare_first);
+  EXPECT_EQ(bare.reclaimed_bytes(), 0u);
+
+  QsbrDomain domain(1);
+  CasTable silent(0, &domain);
+  const std::uint64_t silent_first = silent.slot_bytes();
+  domain.online(0);
+  const std::uint64_t silent_keys = grow_and_sweep(silent, 0, 4);
+  EXPECT_EQ(silent.reclaim(domain.safe_epoch()), 0u);
+  EXPECT_EQ(silent.retired_bytes(), silent.slot_bytes() - silent_first);
+  EXPECT_EQ(silent.reclaimed_bytes(), 0u);
+
+  for (CasTable* table : {&bare, &silent}) {
+    const std::uint64_t keys = table == &bare ? bare_keys : silent_keys;
+    std::uint64_t value = 0;
+    for (std::uint64_t i = 0; i < keys; ++i) {
+      ASSERT_TRUE(table->find(key(i), value)) << i;
+      ASSERT_EQ(value, i);
+    }
+    // The walk for checkpoints sees each key once: swept arrays are out of it.
+    std::uint64_t published = 0;
+    table->for_each_published([&](util::U128, std::uint64_t) { published += 1; });
+    EXPECT_EQ(published, keys);
   }
 }
 

@@ -6,15 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
 #include "check/scenario_spec.hpp"
 #include "check/spec_system.hpp"
 #include "engine/fault_inject.hpp"
+#include "obs/metrics.hpp"
 
 namespace rcons::engine {
 namespace {
@@ -264,6 +267,64 @@ TEST(CheckpointTest, InterruptedRunResumesToIdenticalVisitedAndVerdict) {
   EXPECT_FALSE(report.stats.truncated);
   EXPECT_EQ(report.stats.visited, full.stats.visited);
   std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, CutAfterIndexReclamationResumesToThePinnedCounts) {
+  // Sn(4), n=4, one independent crash: 38,837 states plain and 8,987 with its
+  // symmetry declaration (the differential test pins both). A t=4 run stops
+  // after every shard index has grown several times — the workers' quiescent
+  // points have freed swept index arrays by then, and periodic snapshots pause
+  // the run meanwhile — and the cut it leaves must still hold each interned
+  // record exactly once, so the resumed run reaches the pinned count.
+  for (const bool symmetry : {false, true}) {
+    const std::string line = std::string("type=Sn(4) n=4 model=independent budget=1") +
+                             (symmetry ? " symmetry=on" : "");
+    const std::uint64_t pinned = symmetry ? 8'987 : 38'837;
+    const std::string path = temp_path(symmetry ? "reclaim_sym.ckpt" : "reclaim.ckpt");
+    SCOPED_TRACE(line);
+
+    obs::MetricsRegistry registry;
+    FaultPlan stop(FaultPlan::Site::kBatch, FaultPlan::Action::kStop, symmetry ? 60 : 300);
+    check::CheckRequest interrupted = spec_request(line);
+    interrupted.checkpoint_path = path;
+    interrupted.checkpoint_label = line;
+    interrupted.checkpoint_every = pinned / 16;
+    interrupted.sentinel_interval_ms = 1;
+    interrupted.fault = &stop;
+    interrupted.obs.metrics = &registry;
+    const check::CheckReport partial = check::check(std::move(interrupted));
+    ASSERT_EQ(partial.stats.stop_reason, sim::StopReason::kForcedStop);
+    ASSERT_LT(partial.stats.visited, pinned);
+    const obs::MetricSample* reclaimed = nullptr;
+    for (const obs::MetricSample& sample : partial.metrics) {
+      if (sample.name == "table.reclaimed_bytes") reclaimed = &sample;
+    }
+    ASSERT_NE(reclaimed, nullptr);
+    EXPECT_GT(reclaimed->value, 0u);
+
+    CheckpointData snapshot;
+    std::string error;
+    ASSERT_EQ(load_checkpoint(path, snapshot, error), CheckpointLoad::kOk) << error;
+    EXPECT_EQ(snapshot.visited, partial.stats.visited);
+    // Every interned state (the root plus each visited one), each once.
+    EXPECT_EQ(snapshot.nodes.size(), snapshot.visited + 1);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> fps;
+    for (const CheckpointData::Node& node : snapshot.nodes) {
+      fps.emplace_back(node.fp.lo, node.fp.hi);
+    }
+    std::sort(fps.begin(), fps.end());
+    EXPECT_EQ(std::adjacent_find(fps.begin(), fps.end()), fps.end());
+
+    check::CheckRequest resumed = spec_request(line);
+    resumed.checkpoint_path = path;
+    resumed.checkpoint_label = line;
+    resumed.resume = &snapshot;
+    const check::CheckReport report = check::check(std::move(resumed));
+    EXPECT_TRUE(report.clean);
+    EXPECT_FALSE(report.stats.truncated);
+    EXPECT_EQ(report.stats.visited, pinned);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointTest, ViolationFoundBeforeTheCutSurvivesResume) {

@@ -132,6 +132,57 @@ TEST(NodeStoreTest, ConcurrentInternsAgreeOnWinners) {
   EXPECT_EQ(fetched, record_of(123, 3));
 }
 
+TEST(NodeStoreTest, QuiescentArenasFreeSweptIndexArrays) {
+  // Each thread owns an arena, goes online, and announces a quiescent point
+  // after every intern — the engine worker's protocol. Swept index arrays are
+  // freed while the threads still intern; once the last arena goes offline,
+  // growth holds only what its pending sweeps still need.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 6000;
+  NodeStore store(2, /*expected_states=*/0, /*num_arenas=*/kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      store.online(t);
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        store.intern(key(i), record_of(i, 2), t);
+        store.quiesce(t);
+      }
+      store.offline(t);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const NodeStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.nodes, kKeys);
+  EXPECT_GT(stats.rehashes, 0u);
+  EXPECT_GT(stats.reclaimed_bytes, 0u);
+  EXPECT_LE(stats.retired_bytes, stats.slot_bytes);
+  // The checkpoint walk yields every record exactly once, intact.
+  std::vector<typesys::Value> firsts;
+  store.for_each_record(
+      [&](util::U128, const typesys::Value* values, std::uint32_t length) {
+        ASSERT_EQ(length, 2u);
+        EXPECT_EQ(values[1], values[0] + 1);
+        firsts.push_back(values[0]);
+      });
+  std::sort(firsts.begin(), firsts.end());
+  ASSERT_EQ(firsts.size(), kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(firsts[i], static_cast<typesys::Value>(i * 100)) << i;
+  }
+}
+
+TEST(NodeStoreTest, StoreNobodyBringsOnlineKeepsSweptArrays) {
+  // A single-threaded caller that never announces (the benchmark's phase
+  // replay, most tests): swept arrays stay held until the store goes away.
+  NodeStore store(0);
+  for (std::uint64_t i = 0; i < 3000; ++i) store.intern(key(i), record_of(i, 1));
+  const NodeStore::Stats stats = store.stats();
+  EXPECT_GT(stats.rehashes, 0u);
+  EXPECT_GT(stats.retired_bytes, 0u);
+  EXPECT_EQ(stats.reclaimed_bytes, 0u);
+}
+
 // Encode/decode must be mutually inverse, and the record's prefix must
 // unpack to exactly encode_node() of the same node — the full-record dedup
 // key of the reference explorer the differential test compares with — while
