@@ -623,7 +623,7 @@ class CasTable {
     const auto owned =
         std::find_if(arrays_.begin(), arrays_.end(),
                      [swept](const std::unique_ptr<Array>& a) { return a.get() == swept; });
-    RCONS_DCHECK_MSG(owned != arrays_.end(), "retiring an array the table does not own");
+    RCONS_ASSERT_MSG(owned != arrays_.end(), "retiring an array the table does not own");
     limbo_.reserve(limbo_.size() + 1);
     const std::uint64_t epoch = domain_ != nullptr ? domain_->retire() : kNeverReclaimed;
     limbo_.push_back(Retired{std::move(*owned), epoch});
