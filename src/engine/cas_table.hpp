@@ -33,9 +33,9 @@
 // online participant of the domain — one per interning worker — has
 // announced a quiescent point, a moment holding no pointer into the table,
 // after that stamp. The engine's workers announce one between frontier
-// items. A table without a domain, or whose participants never announce,
-// keeps its retired arrays until it is destroyed: bounded by the geometric
-// capacity series, i.e. less than one extra copy of the final array.
+// items. A table whose domain nobody reclaims keeps its retired arrays until
+// it is destroyed: bounded by the geometric capacity series, i.e. less than
+// one extra copy of the final array.
 //
 // The seal handshake is the subtle part. A claimer CASes EMPTY→CLAIMED and
 // then checks `sealed`; the grower stores `sealed = true` before publishing
@@ -118,8 +118,6 @@ class QsbrDomain {
     for (int p = 0; p < participants; ++p) offline(p);
   }
 
-  int participants() const { return participants_; }
-
   // Before the participant's first table operation.
   void online(int p) {
     std::uint64_t epoch = epoch_of(state_.load(std::memory_order_seq_cst));
@@ -131,8 +129,10 @@ class QsbrDomain {
     }
   }
 
-  // After the participant's last table operation.
-  void offline(int p) { seen(p).store(kOffline, std::memory_order_release); }
+  // After the participant's last table operation. seq_cst, like the scan in
+  // safe_epoch(): of two participants leaving at once, the later one's scan
+  // sees the other offline.
+  void offline(int p) { seen(p).store(kOffline, std::memory_order_seq_cst); }
 
   // Announces a quiescent point of online participant `p`: one load of the
   // shared state line, one store to the participant's own line. Returns
@@ -211,9 +211,8 @@ class CasTable {
   // Pre-sizes for `expected` keys so a run of the anticipated size never
   // grows. 0 = unknown; start minimal and grow cooperatively. Swept arrays
   // are retired into `domain` (which must outlive the table) and freed by
-  // reclaim(); without a domain they stay until the table is destroyed.
-  explicit CasTable(std::uint64_t expected = 0, QsbrDomain* domain = nullptr)
-      : domain_(domain) {
+  // reclaim(); a table nobody reclaims keeps them until it is destroyed.
+  explicit CasTable(QsbrDomain& domain, std::uint64_t expected = 0) : domain_(domain) {
     std::size_t capacity = kMinCapacity;
     while (capacity < kMaxPresize && expected > capacity / 8 * 5) capacity <<= 1;
     auto first = std::make_unique<Array>(capacity);
@@ -285,12 +284,22 @@ class CasTable {
   // Looks `key` up; fills `value` and returns true when present. Like every
   // operation racing reclaim(), it must run between two quiescent points of
   // an online domain participant.
+  //
+  // Sealed arrays first, the live one last, as insert_with's duplicate
+  // check: a sweep copies keys into the live array before it detaches their
+  // sealed one, so a key missed in a sealed array that detaches under the
+  // walk is in the live array by then. That holds only while the array
+  // probed last is still live; after a growth in between, look again.
   bool find(util::U128 key, std::uint64_t& value) const {
-    for (Array* a = live_.load(std::memory_order_acquire); a != nullptr;
-         a = a->prev.load(std::memory_order_acquire)) {
-      if (probe_published(*a, key, value, nullptr)) return true;
+    for (;;) {
+      Array* head = live_.load(std::memory_order_acquire);
+      for (Array* old = head->prev.load(std::memory_order_acquire); old != nullptr;
+           old = old->prev.load(std::memory_order_acquire)) {
+        if (probe_published(*old, key, value, nullptr)) return true;
+      }
+      if (probe_published(*head, key, value, nullptr)) return true;
+      if (live_.load(std::memory_order_acquire) == head) return false;
     }
-    return false;
   }
 
   // Keys inserted. Exact at quiescence; a racy snapshot while inserting.
@@ -369,8 +378,6 @@ class CasTable {
   static constexpr std::uint32_t kClaimed = 1;
   static constexpr std::uint32_t kPublished = 2;
   static constexpr std::uint32_t kTombstone = 3;
-  // Stamp of an array retired without a domain: never reclaimed.
-  static constexpr std::uint64_t kNeverReclaimed = ~std::uint64_t{0};
 
   static constexpr std::size_t kMinCapacity = 16;  // power of two
   // Pre-sizing cap (slots): beyond this the table grows cooperatively
@@ -625,8 +632,7 @@ class CasTable {
                      [swept](const std::unique_ptr<Array>& a) { return a.get() == swept; });
     RCONS_ASSERT_MSG(owned != arrays_.end(), "retiring an array the table does not own");
     limbo_.reserve(limbo_.size() + 1);
-    const std::uint64_t epoch = domain_ != nullptr ? domain_->retire() : kNeverReclaimed;
-    limbo_.push_back(Retired{std::move(*owned), epoch});
+    limbo_.push_back(Retired{std::move(*owned), domain_.retire()});
     arrays_.erase(owned);
   }
 
@@ -686,12 +692,12 @@ class CasTable {
   std::atomic<std::uint64_t> rehashes_{0};
   std::atomic<std::uint64_t> retired_slots_{0};    // slots of sealed arrays held
   std::atomic<std::uint64_t> reclaimed_slots_{0};  // slots of retired arrays freed
-  QsbrDomain* const domain_;
+  QsbrDomain& domain_;
   // rcons-lint: allow(hot-path-no-mutex) serializes growth and retirement (cold); never taken by inserts
   std::mutex growth_mu_;
   struct Retired {
     std::unique_ptr<Array> array;
-    std::uint64_t epoch = kNeverReclaimed;  // QsbrDomain stamp
+    std::uint64_t epoch;  // QsbrDomain stamp
   };
   // Guarded by growth_mu_: the live array and the sealed ones still in the
   // lookup chain or not yet retired; and the retired arrays awaiting a free.

@@ -503,7 +503,7 @@ NodeStore::NodeStore(int shard_bits, std::uint64_t expected_states, int num_aren
   const std::uint64_t expected_per_shard = expected_states / count;
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(expected_per_shard, &domain_));
+    shards_.push_back(std::make_unique<Shard>(expected_per_shard, domain_));
   }
   arenas_.reserve(static_cast<std::size_t>(num_arenas));
   for (int i = 0; i < num_arenas; ++i) arenas_.push_back(std::make_unique<Arena>());
@@ -524,16 +524,21 @@ Value* NodeStore::arena_refill(Arena& arena, std::size_t need) {
   return arena.cur;
 }
 
-void NodeStore::reclaim() {
+void NodeStore::reclaim(bool wait) {
   // Workers that merely see arrays waiting on a slower arena pay a scan of
   // the announcements, not a lock.
-  const std::uint64_t safe = domain_.safe_epoch();
-  if (safe <= reclaimed_through_.load(std::memory_order_relaxed)) return;
-  // rcons-lint: allow(hot-path-no-mutex) free pass: once per safe-epoch advance, try-locked so workers never queue on it
-  std::unique_lock<std::mutex> lock(reclaim_mu_, std::try_to_lock);
-  if (!lock.owns_lock() || safe <= reclaimed_through_.load(std::memory_order_relaxed)) {
+  if (domain_.safe_epoch() <= reclaimed_through_.load(std::memory_order_relaxed)) return;
+  // rcons-lint: allow(hot-path-no-mutex) free pass: once per safe-epoch advance; quiesce() only try-locks, offline() waits once per worker
+  std::unique_lock<std::mutex> lock(reclaim_mu_, std::defer_lock);
+  if (wait) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
     return;
   }
+  // Re-read under the lock: a pass that started before this caller's
+  // announcement may have freed only through an older epoch.
+  const std::uint64_t safe = domain_.safe_epoch();
+  if (safe <= reclaimed_through_.load(std::memory_order_relaxed)) return;
   std::uint64_t freed = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) freed += shard->index.reclaim(safe);
   domain_.released(freed);

@@ -299,15 +299,16 @@ class NodeStore {
   // quiesce(arena) at points where it is inside no store operation, and
   // offline(arena) after its last intern. quiesce() costs one load and one
   // store to the arena's own cache line; when swept arrays are waiting it
-  // also frees those every online arena has passed (reclaim()), and so does
-  // offline(), so the last arena to leave frees every swept array.
+  // also frees those every online arena has passed (reclaim()). offline()
+  // runs a free pass too, waiting for one in progress rather than skipping,
+  // so the last arena to leave frees every swept array.
   void online(int arena) { domain_.online(arena); }
   void offline(int arena) {
     domain_.offline(arena);
-    reclaim();
+    reclaim(/*wait=*/true);
   }
   void quiesce(int arena) {
-    if (domain_.quiesce(arena)) [[unlikely]] reclaim();
+    if (domain_.quiesce(arena)) [[unlikely]] reclaim(/*wait=*/false);
   }
 
   // Hints the cache to fetch `fingerprint`'s home index slot ahead of its
@@ -410,13 +411,14 @@ class NodeStore {
   };
 
   struct alignas(64) Shard {
-    Shard(std::uint64_t expected, QsbrDomain* domain) : index(expected, domain) {}
+    Shard(std::uint64_t expected, QsbrDomain& domain) : index(domain, expected) {}
     CasTable index;  // fingerprint -> record header address
   };
 
   // Frees the swept index arrays every online arena has passed. Cold: runs
-  // only while some are waiting, and one caller at a time.
-  void reclaim();
+  // only while some are waiting, and one caller at a time; with `wait`
+  // false a caller that finds a pass in progress leaves the work to it.
+  void reclaim(bool wait);
 
   // Points the arena at a fresh chunk with >= `need` free values. Cold path:
   // takes chunk_mu_ once per kChunkValues interned values per worker.
@@ -433,7 +435,7 @@ class NodeStore {
   // Highest safe epoch a reclaim pass has freed through; written under
   // reclaim_mu_, read before it so a pass with nothing new never locks.
   std::atomic<std::uint64_t> reclaimed_through_{0};
-  // rcons-lint: allow(hot-path-no-mutex) cold: one free pass at a time, try-locked, never per-intern
+  // rcons-lint: allow(hot-path-no-mutex) cold: one free pass at a time, try-locked between items, never per-intern
   std::mutex reclaim_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Arena>> arenas_;

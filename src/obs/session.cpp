@@ -93,7 +93,7 @@ const std::vector<NameDoc>& metric_names() {
       {"store.value_bytes", "packed record bytes across interned records (no headers)"},
       {"table.reclaimed_bytes", "swept node-store index array bytes freed during the run"},
       {"table.retired_bytes",
-       "gauge: node-store index arrays sealed by growth and still held at run end"},
+       "gauge: node-store index arrays sealed by growth, sweep pending at run end"},
       {"table.slot_bytes", "gauge: live node-store index arrays at run end"},
   };
   return kNames;

@@ -17,8 +17,12 @@ util::U128 key(std::uint64_t i) {
   return util::U128{util::mix64(i), util::mix64(i + 0xabcd'1234ULL)};
 }
 
+// Tests that do not exercise reclamation give the table a domain nobody
+// brings online and nobody reclaims: swept arrays stay until the table goes.
+
 TEST(CasTableTest, InsertFindAndDuplicates) {
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   EXPECT_TRUE(table.insert(key(1), 11).inserted);
   EXPECT_TRUE(table.insert(key(2), 22).inserted);
 
@@ -38,7 +42,8 @@ TEST(CasTableTest, InsertFindAndDuplicates) {
 TEST(CasTableTest, AllZeroKeyIsAnOrdinaryKey) {
   // The slot encoding must not confuse U128{0,0} with an EMPTY slot: presence
   // is carried by the tag, never by the key bytes.
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   EXPECT_TRUE(table.insert(util::U128{0, 0}, 7).inserted);
   std::uint64_t value = 0;
   EXPECT_TRUE(table.find(util::U128{0, 0}, value));
@@ -48,7 +53,8 @@ TEST(CasTableTest, AllZeroKeyIsAnOrdinaryKey) {
 }
 
 TEST(CasTableTest, GrowthKeepsEveryKeyAndValue) {
-  CasTable table;  // minimal capacity: forces several growth epochs
+  QsbrDomain domain(1);
+  CasTable table(domain);  // minimal capacity: forces several growth epochs
   constexpr std::uint64_t kKeys = 20'000;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(table.insert(key(i), i).inserted) << i;
@@ -70,7 +76,8 @@ TEST(CasTableTest, GrowthKeepsEveryKeyAndValue) {
 }
 
 TEST(CasTableTest, PresizedTableNeverGrows) {
-  CasTable table(/*expected=*/10'000);
+  QsbrDomain domain(1);
+  CasTable table(domain, /*expected=*/10'000);
   for (std::uint64_t i = 0; i < 10'000; ++i) table.insert(key(i), i);
   EXPECT_EQ(table.size(), 10'000u);
   EXPECT_EQ(table.rehashes(), 0u);
@@ -81,7 +88,8 @@ TEST(CasTableTest, CooperativeSweepFinishesUnderDuplicateTraffic) {
   // Helping is driven by the insert path itself — even duplicate inserts
   // migrate a stripe while a sweep is pending, so bounded traffic after a
   // growth must finish the sweep without any dedicated migrator thread.
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   std::uint64_t i = 0;
   while (table.rehashes() == 0) {
     table.insert(key(i), i);
@@ -96,7 +104,8 @@ TEST(CasTableTest, CooperativeSweepFinishesUnderDuplicateTraffic) {
 }
 
 TEST(CasTableTest, InsertWithMaterializesThePayloadExactlyOnce) {
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   int calls = 0;
   const auto make = [&calls] {
     calls += 1;
@@ -113,7 +122,8 @@ TEST(CasTableTest, ThrowingPayloadLeavesTheKeyAbsentAndTheChainLive) {
   // A payload that throws inside the claim window (the NodeStore arena's
   // bad_alloc) must not leave its slot claimed: a later insert of the same
   // key probes the same chain and would wait on that claim forever.
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   const auto out_of_memory = []() -> std::uint64_t { throw std::bad_alloc(); };
   EXPECT_THROW(table.insert_with(key(5), out_of_memory), std::bad_alloc);
   EXPECT_FALSE(table.contains(key(5)));
@@ -127,7 +137,8 @@ TEST(CasTableTest, ThrowingPayloadLeavesTheKeyAbsentAndTheChainLive) {
 }
 
 TEST(CasTableTest, OpStatsAccumulateCallerSide) {
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   CasTable::OpStats ops;
   for (std::uint64_t i = 0; i < 2'000; ++i) table.insert(key(i), i, &ops);
   EXPECT_GE(ops.probe_ops, 2'000u);  // growth helpers probe too
@@ -143,7 +154,8 @@ TEST(CasTableTest, ConcurrentInsertersAgreeOnWinners) {
   // payload — the published-slot acquire contract.
   constexpr int kThreads = 8;
   constexpr std::uint64_t kKeys = 10'000;
-  CasTable table;
+  QsbrDomain domain(1);
+  CasTable table(domain);
   std::vector<std::uint64_t> wins(kThreads, 0);
   std::vector<CasTable::OpStats> ops(kThreads);
   std::vector<std::thread> threads;
@@ -188,9 +200,17 @@ void quiesce(QsbrDomain& domain, int p, CasTable& table) {
   if (domain.quiesce(p)) domain.released(table.reclaim(domain.safe_epoch()));
 }
 
+// Takes participant `p` offline and runs a free pass — what
+// NodeStore::offline does. The last participant to leave frees every array
+// in limbo.
+void leave(QsbrDomain& domain, int p, CasTable& table) {
+  domain.offline(p);
+  domain.released(table.reclaim(domain.safe_epoch()));
+}
+
 // Inserts fresh keys from `next` on until the table has grown `growths` times
 // and the last sweep has detached its array, quiescing participant `p` after
-// every operation. Returns the next unused key index.
+// every operation when `domain` is given. Returns the next unused key index.
 std::uint64_t grow_and_sweep(CasTable& table, std::uint64_t next, std::uint64_t growths,
                              QsbrDomain* domain = nullptr, int p = 0) {
   const std::uint64_t target = table.rehashes() + growths;
@@ -213,7 +233,8 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
   constexpr int kReaders = 2;
   constexpr std::uint64_t kKeysPerThread = 8'000;
   QsbrDomain domain(kThreads + kReaders);
-  CasTable table(0, &domain);
+  CasTable table(domain);
+  const std::uint64_t first_bytes = table.slot_bytes();
   std::vector<CasTable::OpStats> ops(kThreads);
   std::vector<std::atomic<std::uint64_t>> progress(kThreads);
   for (auto& done : progress) done.store(0, std::memory_order_relaxed);
@@ -231,7 +252,7 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
         quiesce(domain, t, table);
         EXPECT_TRUE(inserted) << base + i;
       }
-      domain.offline(t);
+      leave(domain, t, table);
       writing.fetch_sub(1, std::memory_order_release);
     });
   }
@@ -251,7 +272,7 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
         ASSERT_TRUE(found) << k;
         ASSERT_EQ(value, k);
       }
-      domain.offline(p);
+      leave(domain, p, table);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -268,15 +289,21 @@ TEST(CasTableTest, ConcurrentGrowthMigrationStress) {
     ASSERT_TRUE(table.find(key(i), value)) << i;
     ASSERT_EQ(value, i) << i;
   }
-  // Everyone is offline: every swept array is free to go.
-  domain.released(table.reclaim(domain.safe_epoch()));
-  EXPECT_GT(table.reclaimed_bytes(), 0u);
-  EXPECT_LE(table.retired_bytes(), table.slot_bytes());
+  // Growth holds only the sweeps still pending: duplicate inserts finish
+  // them, and once the helper leaves, every sealed array has been freed.
+  domain.online(0);
+  while (table.migrating()) {
+    EXPECT_FALSE(table.insert(key(0), 1).inserted);
+    quiesce(domain, 0, table);
+  }
+  leave(domain, 0, table);
+  EXPECT_EQ(table.retired_bytes(), 0u);
+  EXPECT_EQ(table.reclaimed_bytes(), table.slot_bytes() - first_bytes);
 }
 
 TEST(CasTableTest, QuiescenceFreesEverySweptArray) {
   QsbrDomain domain(1);
-  CasTable table(0, &domain);
+  CasTable table(domain);
   const std::uint64_t first_bytes = table.slot_bytes();
   domain.online(0);
   const std::uint64_t keys = grow_and_sweep(table, 0, 5, &domain);
@@ -297,7 +324,7 @@ TEST(CasTableTest, UnquiescedReaderKeepsTheSweptArrayAlive) {
   // Participant 0 writes and quiesces after every insert; participant 1 is a
   // reader that went online before the growth and has not announced since.
   QsbrDomain domain(2);
-  CasTable table(0, &domain);
+  CasTable table(domain);
   domain.online(0);
   domain.online(1);
   std::uint64_t next = 0;
@@ -327,36 +354,26 @@ TEST(CasTableTest, UnquiescedReaderKeepsTheSweptArrayAlive) {
 }
 
 TEST(CasTableTest, WithoutAnnouncementsSweptArraysStayUntilDestruction) {
-  // No domain, or a domain whose participants never announce after the
-  // retirement: the swept arrays stay held, as in a table nobody reclaims.
-  CasTable bare;
-  const std::uint64_t bare_first = bare.slot_bytes();
-  const std::uint64_t bare_keys = grow_and_sweep(bare, 0, 4);
-  EXPECT_EQ(bare.reclaim(~std::uint64_t{0} - 1), 0u);
-  EXPECT_EQ(bare.retired_bytes(), bare.slot_bytes() - bare_first);
-  EXPECT_EQ(bare.reclaimed_bytes(), 0u);
-
+  // A participant that never announces after the retirements holds every
+  // swept array: the table keeps them, as a table nobody reclaims does.
   QsbrDomain domain(1);
-  CasTable silent(0, &domain);
-  const std::uint64_t silent_first = silent.slot_bytes();
+  CasTable table(domain);
+  const std::uint64_t first_bytes = table.slot_bytes();
   domain.online(0);
-  const std::uint64_t silent_keys = grow_and_sweep(silent, 0, 4);
-  EXPECT_EQ(silent.reclaim(domain.safe_epoch()), 0u);
-  EXPECT_EQ(silent.retired_bytes(), silent.slot_bytes() - silent_first);
-  EXPECT_EQ(silent.reclaimed_bytes(), 0u);
+  const std::uint64_t keys = grow_and_sweep(table, 0, 4);
+  EXPECT_EQ(table.reclaim(domain.safe_epoch()), 0u);
+  EXPECT_EQ(table.retired_bytes(), table.slot_bytes() - first_bytes);
+  EXPECT_EQ(table.reclaimed_bytes(), 0u);
 
-  for (CasTable* table : {&bare, &silent}) {
-    const std::uint64_t keys = table == &bare ? bare_keys : silent_keys;
-    std::uint64_t value = 0;
-    for (std::uint64_t i = 0; i < keys; ++i) {
-      ASSERT_TRUE(table->find(key(i), value)) << i;
-      ASSERT_EQ(value, i);
-    }
-    // The walk for checkpoints sees each key once: swept arrays are out of it.
-    std::uint64_t published = 0;
-    table->for_each_published([&](util::U128, std::uint64_t) { published += 1; });
-    EXPECT_EQ(published, keys);
+  std::uint64_t value = 0;
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    ASSERT_TRUE(table.find(key(i), value)) << i;
+    ASSERT_EQ(value, i);
   }
+  // The walk for checkpoints sees each key once: swept arrays are out of it.
+  std::uint64_t published = 0;
+  table.for_each_published([&](util::U128, std::uint64_t) { published += 1; });
+  EXPECT_EQ(published, keys);
 }
 
 }  // namespace

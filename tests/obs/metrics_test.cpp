@@ -342,14 +342,15 @@ TEST(MetricsContractTest, MemoryGaugesReportWhereTheBytesWent) {
             static_cast<std::int64_t>(counter_value(report.metrics, "store.value_bytes")));
 
   // The shard indexes grew from their minimal size, and the workers' quiescent
-  // points freed the swept arrays during the run: what growth still holds at
-  // run end is at most the sweeps left pending, each smaller than its live
-  // successor.
+  // points freed the swept arrays during the run; the last worker to leave
+  // frees the rest. What growth still holds at run end is only the sweeps
+  // left pending: at most one per shard, half its live successor. (Kept
+  // until the end, the sealed arrays would be nearly the live size.)
   const MetricSample* retired = find_sample(report.metrics, "table.retired_bytes");
   ASSERT_NE(retired, nullptr);
   EXPECT_EQ(retired->kind, MetricKind::kGauge);
   EXPECT_GE(retired->gauge_value(), 0);
-  EXPECT_LE(retired->gauge_value(),
+  EXPECT_LE(2 * retired->gauge_value(),
             find_sample(report.metrics, "table.slot_bytes")->gauge_value());
   EXPECT_GT(counter_value(report.metrics, "table.reclaimed_bytes"), 0u);
 }
